@@ -38,7 +38,7 @@ from .potentials import (
     toy_potentials,
     uniform_potentials,
 )
-from .solver import BoundaryMode, Grid
+from .solver import BoundaryMode, Grid, is_whole
 
 __all__ = [
     "ConfigError",
@@ -93,6 +93,11 @@ class SimConfig:
             raise ConfigError("uniform: section required for uniform models")
         if self.t_final <= 0.0:
             raise ConfigError(f"run.t_final: must be positive, got {self.t_final}")
+        if not is_whole(self.t_final / self.grid.dt):
+            raise ConfigError(
+                f"run.t_final: {self.t_final} is not a whole number of steps "
+                f"of grid.dt = {self.grid.dt}"
+            )
         if self.snapshot_stride < 1 or self.energy_stride < 1:
             raise ConfigError("run.snapshot_stride/energy_stride: must be >= 1")
         g = self.grid

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-
-try:  # prefactored LAPACK tridiagonal LU; falls back to per-step banded solves
-    from scipy.linalg.lapack import zgttrf as _zgttrf, zgttrs as _zgttrs
-except ImportError:  # pragma: no cover
-    _zgttrf = _zgttrs = None
+from scipy.linalg.lapack import zgttrf as _zgttrf, zgttrs as _zgttrs
 
 from .potentials import PotentialPair
 
@@ -55,6 +50,11 @@ __all__ = [
     "step_homogeneous",
     "step_split",
 ]
+
+
+def is_whole(ratio: float) -> bool:
+    """Whether ``ratio`` is an integer up to 1e-9 relative (a quotient's roundoff)."""
+    return abs(ratio - round(ratio)) <= 1e-9 * abs(ratio)
 
 
 class BoundaryMode(str, Enum):
@@ -80,6 +80,12 @@ class Grid:
         if self.dt / self.h > 1.0 + 1e-12:
             raise ValueError(
                 f"CFL violation: dt/h = {self.dt / self.h:.6g} exceeds 1"
+            )
+        cells = (self.x_max - self.x_min) / self.h
+        if not is_whole(cells):
+            raise ValueError(
+                f"(x_max - x_min)/h = {cells:.17g} is not an integer; "
+                "the grid would not end at x_max"
             )
 
     @property
@@ -113,28 +119,16 @@ class _TridiagLU:
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         # lower[j] sits in row j+1, upper[j] in row j
-        if _zgttrf is not None:
-            dl, d, du, du2, ipiv, info = _zgttrf(lower, diag, upper)
-            if info != 0:
-                raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-            self._fact = (dl, d, du, du2, ipiv)
-            self._ab = None
-        else:  # pragma: no cover
-            n = diag.size
-            ab = np.zeros((3, n), dtype=complex)
-            ab[0, 1:] = upper
-            ab[1, :] = diag
-            ab[2, :-1] = lower
-            self._ab = ab
-            self._fact = None
+        dl, d, du, du2, ipiv, info = _zgttrf(lower, diag, upper)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
+        self._fact = (dl, d, du, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._fact is not None:
-            x, info = _zgttrs(*self._fact, rhs)
-            if info != 0:  # pragma: no cover
-                raise RuntimeError(f"tridiagonal solve failed (info={info})")
-            return x
-        return scipy.linalg.solve_banded((1, 1), self._ab, rhs)  # pragma: no cover
+        x, info = _zgttrs(*self._fact, rhs)
+        if info != 0:  # pragma: no cover
+            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        return x
 
 
 class Stepper:

@@ -232,6 +232,11 @@ class TestCli:
         cfg = self.write(tmp_path, TOY_TEXT.replace("dt = 0.1", "dt = 0.5"))
         assert main(["--quiet", "run", str(cfg)]) == 2
 
+    def test_t_final_off_the_step_grid_exit_code(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, TOY_TEXT.replace("t_final = 5", "t_final = 5.05"))
+        assert main(["--output-dir", str(tmp_path / "o"), "--quiet", "run", str(cfg)]) == 2
+        assert "run.t_final" in capsys.readouterr().err
+
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["--output-dir", str(tmp_path), "repro", "nope"]) == 2
 

@@ -52,6 +52,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(x_min=0.0, x_max=1.0, h=-0.1, dt=0.1)
 
+    def test_span_must_be_whole_cells(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Grid(x_min=0.0, x_max=1.05, h=0.1, dt=0.1)
+        g = Grid(x_min=0.0, x_max=0.3, h=0.1, dt=0.1)  # 0.3/0.1 = 2.9999999999999996
+        assert g.n == 4
+
 
 class TestFreeTransport:
     def test_left_mover_translates(self):
