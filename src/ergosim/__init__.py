@@ -40,7 +40,7 @@ from .potentials import (
     uniform_potentials,
 )
 from .presets import get_preset, preset_names
-from .solver import BoundaryMode, FieldState, Grid, Stepper, step_homogeneous, step_split
+from .solver import BoundaryMode, FieldState, Grid, Stepper
 
 __version__ = "0.1.0"
 
@@ -83,8 +83,6 @@ __all__ = [
     "run",
     "sample_grid",
     "serialize_config",
-    "step_homogeneous",
-    "step_split",
     "tortoise",
     "toy_potentials",
     "uniform_potentials",

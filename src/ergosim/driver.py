@@ -147,7 +147,10 @@ def run(
     n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
         state = stepper.step(state)
-        if not np.all(np.isfinite(state.u)):
+        # A nan or inf anywhere in u propagates into the sum, and a finite
+        # field whose sum overflows has already overflowed the |u|^2 energy
+        # quadrature; one reduction is cheaper than an elementwise isfinite.
+        if not np.isfinite(state.u.sum()):
             raise FloatingPointError(f"non-finite field detected at step {k} (t={state.t:g})")
         for probe in probes:
             probe.sample(state)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import BlackHole, GridGeometry, sample_grid
 
@@ -178,6 +177,10 @@ def effective_ergosphere_boundary(pp: PotentialPair, xtol: float = 1e-8) -> list
     negative and non-negative values, refined to ``xtol`` by bisection of the
     continuous profile.  Empty if the sign never changes on the grid.
     """
+    # imported here: scipy.optimize costs a quarter second at start-up and no
+    # simulation run needs it
+    from scipy.optimize import brentq
+
     total = pp.total
     x = pp.x
     negative = total < 0.0

@@ -30,6 +30,15 @@ Boundary closures replace the first and last rows:
   the run driver, not here.
 
 Stability requires the CFL ratio dt/h <= 1, enforced at grid construction.
+
+A step allocates only its two outputs: the right-hand side is built in a fresh
+array that the LAPACK solve overwrites with U^{n+1}, V^{n+1} is formed in
+place in a second fresh array, and every other intermediate goes to scratch
+buffers the :class:`Stepper` allocates once.  The operations and their order
+are those of the expressions above, so results are bit-identical to evaluating
+them with temporaries.  Returned states alias neither their input nor the
+scratch buffers, so callers may keep old states; the scratch makes a
+``Stepper`` non-reentrant (one step at a time per instance).
 """
 
 from __future__ import annotations
@@ -47,8 +56,6 @@ __all__ = [
     "Grid",
     "FieldState",
     "Stepper",
-    "step_homogeneous",
-    "step_split",
 ]
 
 
@@ -125,7 +132,7 @@ class _TridiagLU:
         self._fact = (dl, d, du, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = _zgttrs(*self._fact, rhs)
+        x, info = _zgttrs(*self._fact, rhs, overwrite_b=1)
         if info != 0:  # pragma: no cover
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return x
@@ -136,6 +143,9 @@ class Stepper:
 
     ``splitting=None`` resolves automatically: Strang splitting is used exactly
     when the boundary is transparent and P is not identically zero.
+
+    Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
+    so one ``Stepper`` must not run two steps at once (use one per thread).
     """
 
     def __init__(
@@ -155,12 +165,11 @@ class Stepper:
         self.grid = grid
         self.bc = bc
         self.splitting = splitting
-        self.v_profile = pp.v
-        self.p_profile = pp.p
 
         dt, h, n = grid.dt, grid.h, grid.n
         p_in_block = np.zeros(n) if splitting else pp.p
-        self._half_p = 0.5 * dt * pp.p if splitting else None
+        # complex, so the kicks skip numpy's float64 -> complex128 casting loop
+        self._half_p = (0.5 * dt * pp.p).astype(complex) if splitting else None
 
         self._a = 1.0 - 0.5j * dt * pp.v
         self._d = 1.0 + 0.5j * dt * pp.v
@@ -168,10 +177,14 @@ class Stepper:
         lo = np.full(n, -c / h**2, dtype=complex)  # row j, column j-1
         di = self._a * self._a + c * (2.0 / h**2 + p_in_block)
         up = np.full(n, -c / h**2, dtype=complex)  # row j, column j+1
-        # right-hand-side operator, same sparsity
-        self._rlo = np.full(n, c / h**2, dtype=complex)
+        # right-hand-side operator: diagonal _rdi, both off-diagonals _roff
+        self._roff = complex(c / h**2)
         self._rdi = self._a * self._d - c * (2.0 / h**2 + p_in_block)
-        self._rup = np.full(n, c / h**2, dtype=complex)
+        # transparent rows of the right-hand side: _rb0 u[0] + _rb1 u[1] and
+        # _rbn u[-1] + _rb1 u[-2]
+        self._rb0 = 1.0 / dt + 0.5j * pp.v[0] - 0.5 / h
+        self._rbn = 1.0 / dt + 0.5j * pp.v[-1] - 0.5 / h
+        self._rb1 = 0.5 / h
 
         if bc is BoundaryMode.DIRICHLET:
             di[0] = 1.0
@@ -185,25 +198,35 @@ class Stepper:
             lo[-1] = -0.5 / h
 
         self._lu = _TridiagLU(lo[1:], di, up[:-1])
+        # scratch: _work holds one product at a time, _kick the kicked v
+        self._work = np.empty(n, dtype=complex)
+        self._kick = np.empty(n, dtype=complex) if splitting else None
 
     def _rhs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        dt, h = self.grid.dt, self.grid.h
-        r = self._rdi * u + dt * v
-        r[1:] += self._rlo[1:] * u[:-1]
-        r[:-1] += self._rup[:-1] * u[1:]
+        """Right-hand side in a fresh array; the solve turns it into u_new."""
+        w = self._work
+        r = np.multiply(self._rdi, u)
+        np.add(r, np.multiply(self.grid.dt, v, out=w), out=r)
+        np.multiply(self._roff, u, out=w)  # one product serves both off-diagonals
+        r[1:] += w[:-1]
+        r[:-1] += w[1:]
         if self.bc is BoundaryMode.DIRICHLET:
             r[0] = 0.0
             r[-1] = 0.0
         else:
-            vb = self.v_profile
-            r[0] = (1.0 / dt + 0.5j * vb[0] - 0.5 / h) * u[0] + 0.5 / h * u[1]
-            r[-1] = (1.0 / dt + 0.5j * vb[-1] - 0.5 / h) * u[-1] + 0.5 / h * u[-2]
+            r[0] = self._rb0 * u[0] + self._rb1 * u[1]
+            r[-1] = self._rbn * u[-1] + self._rb1 * u[-2]
         return r
 
     def _cn_step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt, h = self.grid.dt, self.grid.h
         un = self._lu.solve(self._rhs(u, v))
-        vn = (2.0 / dt) * (self._a * un - self._d * u) - v
+        # vn = (2/dt)(a un - d u) - v in this grouping; folding 2/dt into a
+        # and d would change the last bits of every output
+        vn = np.multiply(self._a, un)
+        np.subtract(vn, np.multiply(self._d, u, out=self._work), out=vn)
+        np.multiply(2.0 / dt, vn, out=vn)
+        np.subtract(vn, v, out=vn)
         if self.bc is BoundaryMode.DIRICHLET:
             vn[0] = 0.0
             vn[-1] = 0.0
@@ -215,27 +238,12 @@ class Stepper:
     def step(self, state: FieldState) -> FieldState:
         u, v = state.u, state.v
         if self.splitting:
-            v = v - self._half_p * u
+            # Strang: half P-kick, homogeneous step, half P-kick; the kick is
+            # the trapezoidal rule for v' = -P u, exact since u is frozen in it
+            w = self._work
+            v = np.subtract(v, np.multiply(self._half_p, u, out=w), out=self._kick)
             u, v = self._cn_step(u, v)
-            v = v - self._half_p * u
+            np.subtract(v, np.multiply(self._half_p, u, out=w), out=v)
         else:
             u, v = self._cn_step(u, v)
         return FieldState(u=u, v=v, t=state.t + self.grid.dt)
-
-
-def step_homogeneous(
-    state: FieldState, pp: PotentialPair, grid: Grid, bc: BoundaryMode
-) -> FieldState:
-    """One unsplit midpoint step (P, if any, kept inside the block system)."""
-    return Stepper(grid, pp, bc, splitting=False).step(state)
-
-
-def step_split(
-    state: FieldState, pp: PotentialPair, grid: Grid, bc: BoundaryMode
-) -> FieldState:
-    """One Strang-split step: half P-flow, homogeneous step, half P-flow.
-
-    The P-only sub-flow (u̇ = 0, v̇ = -P u) is integrated by the trapezoidal
-    rule, which is exact here because u is frozen during the sub-flow.
-    """
-    return Stepper(grid, pp, bc, splitting=True).step(state)

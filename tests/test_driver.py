@@ -110,6 +110,23 @@ def test_nan_detection_aborts_with_step_index(monkeypatch):
         run(cfg)
 
 
+def test_inf_detection_aborts_with_step_index(monkeypatch):
+    cfg = toy_config()
+    original = Stepper.step
+    counter = {"n": 0}
+
+    def poisoned(self, state):
+        out = original(self, state)
+        counter["n"] += 1
+        if counter["n"] == 3:
+            out.u[5] = np.inf
+        return out
+
+    monkeypatch.setattr(Stepper, "step", poisoned)
+    with pytest.raises(FloatingPointError, match="step 3"):
+        run(cfg)
+
+
 def test_support_violation_surfaces_from_run():
     cfg = toy_config(
         data=es.DataSpec(kind="wave-packet", omega=0.0, x0=28.0, width=2.0, phase="plain")

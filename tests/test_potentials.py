@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ergosim
 from ergosim.geometry import BlackHole, metric_f, metric_f_prime
 from ergosim.potentials import (
     FieldParams,
@@ -169,3 +175,16 @@ def test_field_params_validation():
         FieldParams(q=1.0, m=-0.1)
     with pytest.raises(ValueError):
         FieldParams(q=1.0, m=0.1, l=-1)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only effective_ergosphere_boundary needs brentq; the CLI must not pay for it
+    src = str(Path(ergosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import ergosim.cli, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

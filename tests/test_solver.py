@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgttrs
 from scipy.special import erf
 
-from ergosim.potentials import ToyParams, toy_potentials, uniform_potentials
-from ergosim.solver import (
-    BoundaryMode,
-    FieldState,
-    Grid,
-    Stepper,
-    step_homogeneous,
-    step_split,
-)
+from ergosim.potentials import ToyParams, rn_potentials, toy_potentials, uniform_potentials
+from ergosim.presets import REFERENCE_FIELD, REFERENCE_HOLE
+from ergosim.solver import BoundaryMode, FieldState, Grid, Stepper
 
 
 def make_state(x, u, v):
@@ -186,8 +181,8 @@ class TestSplitting:
         pp = toy_potentials(ToyParams(alpha=1.0, beta=0.0, smoothing=1.0), g.x)
         u = np.exp(1j * g.x - (g.x - 3.0) ** 2).astype(complex)
         state = make_state(g.x, u, np.gradient(u, g.x))
-        a = step_homogeneous(state, pp, g, BoundaryMode.TRANSPARENT)
-        b = step_split(state, pp, g, BoundaryMode.TRANSPARENT)
+        a = Stepper(g, pp, BoundaryMode.TRANSPARENT, splitting=False).step(state)
+        b = Stepper(g, pp, BoundaryMode.TRANSPARENT, splitting=True).step(state)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
 
@@ -204,6 +199,136 @@ class TestSplitting:
         pp = uniform_potentials(0.0, 0.0, g.x)
         with pytest.raises(ValueError):
             Stepper(g, pp, BoundaryMode.REFERENCE)
+
+
+class _ReferenceKernel:
+    """The step written with temporaries, which the scratch-buffer kernel must
+    match bit for bit.
+
+    Every operation allocates its result, the off-diagonals are arrays and the
+    P-kick factor is float64; only the LU factorization is the stepper's own.
+    """
+
+    def __init__(self, stepper, pp):
+        g = stepper.grid
+        dt, h, n = g.dt, g.h, g.n
+        self.grid, self.bc, self.splitting = g, stepper.bc, stepper.splitting
+        self.v_profile = pp.v
+        self.fact = stepper._lu._fact
+        p_in_block = np.zeros(n) if self.splitting else pp.p
+        self.half_p = 0.5 * dt * pp.p if self.splitting else None
+        self.a = 1.0 - 0.5j * dt * pp.v
+        self.d = 1.0 + 0.5j * dt * pp.v
+        c = 0.25 * dt * dt
+        self.rlo = np.full(n, c / h**2, dtype=complex)
+        self.rdi = self.a * self.d - c * (2.0 / h**2 + p_in_block)
+        self.rup = np.full(n, c / h**2, dtype=complex)
+
+    def rhs(self, u, v):
+        dt, h = self.grid.dt, self.grid.h
+        r = self.rdi * u + dt * v
+        r[1:] += self.rlo[1:] * u[:-1]
+        r[:-1] += self.rup[:-1] * u[1:]
+        if self.bc is BoundaryMode.DIRICHLET:
+            r[0] = 0.0
+            r[-1] = 0.0
+        else:
+            vb = self.v_profile
+            r[0] = (1.0 / dt + 0.5j * vb[0] - 0.5 / h) * u[0] + 0.5 / h * u[1]
+            r[-1] = (1.0 / dt + 0.5j * vb[-1] - 0.5 / h) * u[-1] + 0.5 / h * u[-2]
+        return r
+
+    def cn_step(self, u, v):
+        dt, h = self.grid.dt, self.grid.h
+        un, info = zgttrs(*self.fact, self.rhs(u, v))
+        assert info == 0
+        vn = (2.0 / dt) * (self.a * un - self.d * u) - v
+        if self.bc is BoundaryMode.DIRICHLET:
+            vn[0] = 0.0
+            vn[-1] = 0.0
+        else:
+            vn[0] = (un[1] - un[0]) / h
+            vn[-1] = -(un[-1] - un[-2]) / h
+        return un, vn
+
+    def step(self, state):
+        u, v = state.u, state.v
+        if self.splitting:
+            v = v - self.half_p * u
+            u, v = self.cn_step(u, v)
+            v = v - self.half_p * u
+        else:
+            u, v = self.cn_step(u, v)
+        return FieldState(u=u, v=v, t=state.t + self.grid.dt)
+
+
+def _kernel_case(name):
+    """(grid, potentials, boundary mode, expected splitting) for one kernel path."""
+    if name == "rn-transparent-split":
+        g = Grid(x_min=-50.0, x_max=50.0, h=0.04, dt=0.04)
+        return g, rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, g.x), BoundaryMode.TRANSPARENT, True
+    if name == "toy-transparent-unsplit":
+        g = Grid(x_min=-30.0, x_max=30.0, h=0.1, dt=0.1)
+        pp = toy_potentials(ToyParams(alpha=1.0, beta=0.0, smoothing=1.0), g.x)
+        return g, pp, BoundaryMode.TRANSPARENT, False
+    g = Grid(x_min=-10.0, x_max=10.0, h=0.05, dt=0.04)
+    return g, uniform_potentials(0.7, 0.3, g.x), BoundaryMode.DIRICHLET, False
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return make_state(
+        None,
+        rng.normal(size=n) + 1j * rng.normal(size=n),
+        rng.normal(size=n) + 1j * rng.normal(size=n),
+    )
+
+
+class TestKernel:
+    """The allocation-free step against a kept copy of the allocating one."""
+
+    @pytest.mark.parametrize(
+        "case", ["rn-transparent-split", "toy-transparent-unsplit", "dirichlet-uniform"]
+    )
+    def test_bit_identical_to_reference(self, case):
+        g, pp, bc, splitting = _kernel_case(case)
+        stepper = Stepper(g, pp, bc)
+        assert stepper.splitting is splitting
+        reference = _ReferenceKernel(stepper, pp)
+        state = expected = _random_state(g.n, seed=7)
+        for _ in range(50):
+            state, expected = stepper.step(state), reference.step(expected)
+        assert np.array_equal(state.u, expected.u)
+        assert np.array_equal(state.v, expected.v)
+        assert state.t == expected.t
+
+    def test_held_state_survives_later_steps(self):
+        g, pp, bc, _ = _kernel_case("rn-transparent-split")
+        stepper = Stepper(g, pp, bc)
+        state = _random_state(g.n, seed=3)
+        for _ in range(5):
+            state = stepper.step(state)
+        held, u_copy, v_copy = state, state.u.copy(), state.v.copy()
+        for _ in range(5):
+            state = stepper.step(state)
+        assert np.array_equal(held.u, u_copy)
+        assert np.array_equal(held.v, v_copy)
+
+    @pytest.mark.parametrize("case", ["rn-transparent-split", "toy-transparent-unsplit"])
+    def test_outputs_share_no_memory(self, case):
+        g, pp, bc, _ = _kernel_case(case)
+        stepper = Stepper(g, pp, bc)
+        first = _random_state(g.n, seed=5)
+        second = stepper.step(first)
+        third = stepper.step(second)
+        arrays = [first.u, first.v, second.u, second.v, third.u, third.v]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        scratch = [b for b in vars(stepper).values() if isinstance(b, np.ndarray)]
+        for a in arrays:
+            for b in scratch:
+                assert not np.shares_memory(a, b)
 
 
 class TestConservation:
