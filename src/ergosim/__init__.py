@@ -13,9 +13,6 @@ from .diagnostics import (
     PlateauSummary,
     energy_positive_zone,
     energy_total,
-    flux_outgoing,
-    gain_flux,
-    gain_zone,
     modified_energy,
     plateau_summary,
 )
@@ -67,9 +64,6 @@ __all__ = [
     "effective_ergosphere_boundary",
     "energy_positive_zone",
     "energy_total",
-    "flux_outgoing",
-    "gain_flux",
-    "gain_zone",
     "get_preset",
     "metric_f",
     "metric_f_prime",

@@ -131,7 +131,7 @@ def _write_run(result: RunResult, outdir: Path) -> None:
         [e.potential for e in result.energies],
         [e.total for e in result.energies],
     ]
-    if result.zone_gain is not None and len(result.zone_gain) == len(result.energy_times):
+    if result.zone_gain is not None:
         header.append("zone_gain")
         cols.append(result.zone_gain)
     _write_table(outdir / "energy.csv", header, np.column_stack(cols))

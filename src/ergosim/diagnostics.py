@@ -12,8 +12,9 @@ Conventions (they matter, and they cancel correctly in every gain ratio):
   with the (F/r)φ correction present only on the black-hole background;
 * flux gains divide by the energy-current flux of the data through t = 0:
   the full E (with its 1/2) on the black-hole background, and half the zone
-  energy E₊/2 for the toy model.  Either way a free packet that exits
-  entirely through the probe scores gain 1.
+  energy E₊/2 on backgrounds with ``zone_convention`` (toy and uniform).
+  Either way a free packet that exits entirely through the probe scores
+  gain 1.
 
 ∂t φ is always reconstructed as v + iVu (exact by definition of v), never by
 time differencing.  All quadratures are trapezoidal in x and t, matching the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import PotentialPair
+from .potentials import PotentialPair, RNPotentials
 from .solver import FieldState
 
 __all__ = [
@@ -35,10 +36,7 @@ __all__ = [
     "PlateauSummary",
     "energy_total",
     "energy_positive_zone",
-    "gain_zone",
     "FluxProbe",
-    "flux_outgoing",
-    "gain_flux",
     "flux_reference_energy",
     "modified_energy",
     "plateau_summary",
@@ -129,18 +127,6 @@ def energy_positive_zone(
     return float(np.trapezoid(integrand, x))
 
 
-def gain_zone(states: list[FieldState], pp: PotentialPair, zone_start: float = 0.0) -> np.ndarray:
-    """Zone-energy gain G(t) = E₊(t)/E₊(0) along a state history.
-
-    Loses meaning once waves have left the computational domain; prefer the
-    flux gain for long-time measurements.
-    """
-    e0 = energy_positive_zone(states[0], pp, zone_start)
-    if e0 < 1e-14:
-        raise ValueError("initial zone energy vanishes; zone gain undefined")
-    return np.array([energy_positive_zone(s, pp, zone_start) / e0 for s in states])
-
-
 class FluxProbe:
     """Running time-integral of the energy flux through one grid node.
 
@@ -157,11 +143,7 @@ class FluxProbe:
         self.x = float(x[self.index])
         self.sign = {"right": -1.0, "left": 1.0}[outgoing]
         self._pp = pp
-        if pp.provenance == "reissner-nordstrom":
-            g = pp.geom
-            self._correction = float(g.f[self.index] / g.r[self.index])
-        else:
-            self._correction = 0.0
+        self._correction = pp.flux_correction(self.index)
         self._h = float(x[1] - x[0])
         self._last: tuple[float, float] | None = None
         self.times: list[float] = []
@@ -192,37 +174,16 @@ class FluxProbe:
         )
 
 
-def flux_outgoing(
-    states: list[FieldState], x_probe: float, pp: PotentialPair, outgoing: str = "right"
-) -> np.ndarray:
-    """Accumulated outgoing flux along a state history (one value per state)."""
-    probe = FluxProbe(x_probe, pp, outgoing)
-    for s in states:
-        probe.sample(s)
-    return np.asarray(probe.accumulated)
-
-
 def flux_reference_energy(state0: FieldState, pp: PotentialPair) -> float:
     """Denominator of the flux gain: the energy-current flux of the data
     through the initial slice (see module docstring for the conventions)."""
-    if pp.provenance == "reissner-nordstrom":
-        e0 = energy_total(state0, pp).total
-    else:
+    if pp.zone_convention:
         e0 = 0.5 * energy_positive_zone(state0, pp)
+    else:
+        e0 = energy_total(state0, pp).total
     if abs(e0) < 1e-14:
         raise ValueError("initial energy vanishes; flux gain undefined")
     return float(e0)
-
-
-def gain_flux(
-    states: list[FieldState], x_probe: float, pp: PotentialPair
-) -> GainSeries:
-    """Flux gain along a state history; prefer the run driver's per-step
-    accumulation for production runs (this helper re-samples a stored history)."""
-    probe = FluxProbe(x_probe, pp)
-    for s in states:
-        probe.sample(s)
-    return probe.series(flux_reference_energy(states[0], pp))
 
 
 def modified_energy(state: FieldState, pp: PotentialPair) -> float:
@@ -233,7 +194,7 @@ def modified_energy(state: FieldState, pp: PotentialPair) -> float:
     propagated r - r+ so the near-horizon cancellation in (1/r - 1/r+) is
     benign.
     """
-    if pp.provenance != "reissner-nordstrom":
+    if not isinstance(pp, RNPotentials):
         raise ValueError("modified energy is defined on the black-hole background only")
     bh, fp, g = pp.bh, pp.fp, pp.geom
     omega_h = fp.q * bh.charge / bh.r_plus

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import initial_data
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .solver import BoundaryMode, FieldState, Grid, Stepper
 
 __all__ = ["RunResult", "run"]
@@ -35,7 +35,7 @@ class RunResult:
     initial_energy: diag.EnergyBreakdown | None = None
     energy_times: np.ndarray = field(default=None, repr=False)
     energies: list[diag.EnergyBreakdown] = field(default_factory=list, repr=False)
-    zone_gain: np.ndarray = field(default=None, repr=False)
+    zone_gain: np.ndarray | None = field(default=None, repr=False)
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list, repr=False)
     final_state: FieldState | None = None
     steps: int = 0
@@ -85,9 +85,10 @@ def run(
 ) -> RunResult:
     """Advance the configured problem from t = 0 to t = t_final.
 
-    Flux probes are sampled every step; energies (and the zone gain, outside
-    the black-hole case) every ``energy_stride`` steps; window snapshots of u
-    every ``snapshot_stride`` steps when requested.
+    Flux probes are sampled every step; energies (and the zone gain, on
+    backgrounds with the zone convention whose data start with zone energy)
+    every ``energy_stride`` steps; window snapshots of u every
+    ``snapshot_stride`` steps when requested.
     """
     cfg.validate()
     reference = cfg.bc is BoundaryMode.REFERENCE
@@ -114,20 +115,26 @@ def run(
     zone_gains: list[float] = []
     energies: list[diag.EnergyBreakdown] = []
     energy_times: list[float] = []
-    track_zone = pp.provenance != "reissner-nordstrom"
-    zone_e0 = None
 
     w0 = window_state(state)
     initial_energy = diag.energy_total(w0, window_pp)
-    flux_denominator = diag.flux_reference_energy(w0, window_pp) if probes else 0.0
-    if track_zone:
-        zone_e0 = diag.energy_positive_zone(w0, window_pp)
+    flux_denominator = 0.0
+    if probes:
+        try:
+            flux_denominator = diag.flux_reference_energy(w0, window_pp)
+        except ValueError as exc:
+            raise ConfigError(
+                f"run.probes: the data at data.x0 = {cfg.data.x0:g} give no energy to "
+                f"normalize the flux gain by ({exc}); move the data or drop the probes"
+            ) from exc
+    zone_e0 = diag.energy_positive_zone(w0, window_pp) if pp.zone_convention else 0.0
+    track_zone = zone_e0 > 1e-14
 
     def record_diagnostics(s: FieldState) -> None:
         ws = window_state(s)
         energy_times.append(s.t)
         energies.append(diag.energy_total(ws, window_pp))
-        if track_zone and zone_e0 > 1e-14:
+        if track_zone:
             zone_gains.append(diag.energy_positive_zone(ws, window_pp) / zone_e0)
 
     snapshots: list[tuple[float, np.ndarray]] = []

@@ -7,8 +7,10 @@ Two physical families share the same solver-facing form:
 * the Reissner-Nordström background, where V = qQ/r is the electrostatic
   coupling and P = F (l(l+1)/r² + m² + F'/r) the curvature/mass barrier.
 
-A third "uniform" provenance (constant V, P) backs the boundary-condition
-demonstration runs.
+A third, uniform background (constant V, P) backs the boundary-condition
+demonstration runs.  Each family is its own sampled-profile type
+(``ToyPotentials``, ``RNPotentials``, the base ``PotentialPair`` for uniform
+coefficients), and the type carries the family's diagnostic conventions.
 
 The conserved-energy density carries the combination P - V²; the region where
 it is negative is the effective ergosphere, and its boundary points are what
@@ -18,6 +20,7 @@ it is negative is the effective ergosphere, and its boundary points are what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,6 +30,8 @@ __all__ = [
     "ToyParams",
     "FieldParams",
     "PotentialPair",
+    "ToyPotentials",
+    "RNPotentials",
     "toy_potentials",
     "rn_potentials",
     "uniform_potentials",
@@ -71,18 +76,22 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class PotentialPair:
-    """Sampled profiles V(x), P(x) plus enough provenance to re-evaluate them
-    continuously (needed for grid-independent root refinement)."""
+    """Sampled profiles V(x), P(x) of a constant-coefficient background.
+
+    Each background model is a subclass that knows how to re-evaluate its
+    profiles continuously (needed for grid-independent root refinement) and
+    which diagnostic conventions it follows.  ``provenance`` names the model.
+    """
 
     x: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    provenance: str
-    toy: ToyParams | None = None
-    bh: BlackHole | None = None
-    fp: FieldParams | None = None
-    geom: GridGeometry | None = None
+    provenance: str = "uniform"
     uniform: tuple[float, float] | None = None
+
+    # Zone-energy convention: the flux gain divides by E₊/2 over x >= 0 and the
+    # run reports a zone gain.  Otherwise it divides by the full energy.
+    zone_convention: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (len(self.x) == len(self.v) == len(self.p)):
@@ -95,17 +104,47 @@ class PotentialPair:
 
     def total_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """Evaluate P - V² at arbitrary positions (not just grid nodes)."""
-        if self.provenance == "toy":
-            v = _toy_v(self.toy, np.asarray(x, dtype=float))
-            p = _toy_p(self.toy, v)
-            return p - v**2
-        if self.provenance == "reissner-nordstrom":
-            g = sample_grid(self.bh, np.atleast_1d(np.asarray(x, dtype=float)))
-            v, p = _rn_vp(self.bh, self.fp, g)
-            out = p - v**2
-            return out if np.ndim(x) else float(out[0])
         v0, p0 = self.uniform
         return np.full_like(np.asarray(x, dtype=float), p0 - v0 * v0)
+
+    def flux_correction(self, j: int) -> float:
+        """Coefficient c of the probe's flux term Re[∂t φ conj(∂x φ - c φ)] at node j."""
+        return 0.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class ToyPotentials(PotentialPair):
+    """The smoothed-step toy model."""
+
+    provenance: str = "toy"
+    toy: ToyParams
+
+    def total_at(self, x: float | np.ndarray) -> float | np.ndarray:
+        v = _toy_v(self.toy, np.asarray(x, dtype=float))
+        p = _toy_p(self.toy, v)
+        return p - v**2
+
+
+@dataclass(frozen=True, kw_only=True)
+class RNPotentials(PotentialPair):
+    """The Reissner-Nordström mode reduction, with its sampled geometry."""
+
+    provenance: str = "reissner-nordstrom"
+    bh: BlackHole
+    fp: FieldParams
+    geom: GridGeometry
+
+    zone_convention: ClassVar[bool] = False
+
+    def total_at(self, x: float | np.ndarray) -> float | np.ndarray:
+        g = sample_grid(self.bh, np.atleast_1d(np.asarray(x, dtype=float)))
+        v, p = _rn_vp(self.bh, self.fp, g)
+        out = p - v**2
+        return out if np.ndim(x) else float(out[0])
+
+    def flux_correction(self, j: int) -> float:
+        """F/r at node j: the curvature term of the outgoing flux."""
+        return float(self.geom.f[j] / self.geom.r[j])
 
 
 def _toy_v(params: ToyParams, x: np.ndarray) -> np.ndarray:
@@ -128,14 +167,14 @@ def _rn_vp(bh: BlackHole, fp: FieldParams, geom: GridGeometry) -> tuple[np.ndarr
     return v, p
 
 
-def toy_potentials(params: ToyParams, x: np.ndarray) -> PotentialPair:
+def toy_potentials(params: ToyParams, x: np.ndarray) -> ToyPotentials:
     """Sample the toy profiles on a strictly increasing grid."""
     x = _checked_grid(x)
     v = _toy_v(params, x)
-    return PotentialPair(x=x, v=v, p=_toy_p(params, v), provenance="toy", toy=params)
+    return ToyPotentials(x=x, v=v, p=_toy_p(params, v), toy=params)
 
 
-def rn_potentials(bh: BlackHole, fp: FieldParams, x: np.ndarray) -> PotentialPair:
+def rn_potentials(bh: BlackHole, fp: FieldParams, x: np.ndarray) -> RNPotentials:
     """Sample the Reissner-Nordström profiles on a strictly increasing grid.
 
     V -> qQ/r+ and P -> 0 (exponentially) towards the horizon;
@@ -144,9 +183,7 @@ def rn_potentials(bh: BlackHole, fp: FieldParams, x: np.ndarray) -> PotentialPai
     x = _checked_grid(x)
     geom = sample_grid(bh, x)
     v, p = _rn_vp(bh, fp, geom)
-    return PotentialPair(
-        x=x, v=v, p=p, provenance="reissner-nordstrom", bh=bh, fp=fp, geom=geom
-    )
+    return RNPotentials(x=x, v=v, p=p, bh=bh, fp=fp, geom=geom)
 
 
 def uniform_potentials(v0: float, p0: float, x: np.ndarray) -> PotentialPair:
@@ -156,7 +193,6 @@ def uniform_potentials(v0: float, p0: float, x: np.ndarray) -> PotentialPair:
         x=x,
         v=np.full_like(x, v0),
         p=np.full_like(x, p0),
-        provenance="uniform",
         uniform=(float(v0), float(p0)),
     )
 

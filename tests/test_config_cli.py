@@ -243,6 +243,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--quiet", "run", str(tmp_path / "absent.ini")]) == 2
 
+    def test_vanishing_flux_denominator_exit_code(self, tmp_path, capsys):
+        # a toy packet left of x = 0 has no zone energy to normalize the flux gain
+        cfg = self.write(tmp_path, TOY_TEXT.replace("x0 = 7.5", "x0 = -20"))
+        assert main(["--output-dir", str(tmp_path / "o"), "--quiet", "run", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run.probes:") and "data.x0 = -20" in err[0]
+
     def test_support_violation_exit_code(self, tmp_path):
         bad = TOY_TEXT.replace("x0 = 7.5", "x0 = 29.5")
         cfg = self.write(tmp_path, bad)

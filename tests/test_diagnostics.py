@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ergosim.config import SimConfig
 from ergosim.diagnostics import (
     FluxProbe,
     GainSeries,
     energy_positive_zone,
     energy_total,
-    flux_outgoing,
     flux_reference_energy,
-    gain_zone,
     modified_energy,
     plateau_summary,
 )
+from ergosim.driver import run
 from ergosim.geometry import BlackHole
 from ergosim.initial_data import DataSpec, build
 from ergosim.potentials import (
@@ -103,10 +103,12 @@ class TestFlux:
     def test_zero_field_zero_flux(self):
         x = np.linspace(-5.0, 5.0, 101)
         pp = uniform_potentials(0.0, 0.0, x)
-        states = [zero_state(x) for _ in range(4)]
-        for i, s in enumerate(states):
+        probe = FluxProbe(2.0, pp)
+        for i in range(4):
+            s = zero_state(x)
             s.t = 0.1 * i
-        assert np.all(flux_outgoing(states, 2.0, pp) == 0.0)
+            probe.sample(s)
+        assert probe.accumulated == [0.0] * 4
 
     def test_probe_outside_grid_rejected(self):
         x = np.linspace(-5.0, 5.0, 101)
@@ -155,17 +157,18 @@ class TestGainConventions:
         pp = uniform_potentials(0.0, 0.0, x)
         with pytest.raises(ValueError):
             flux_reference_energy(zero_state(x), pp)
-        with pytest.raises(ValueError):
-            gain_zone([zero_state(x)], pp)
 
     def test_gain_zone_starts_at_one(self):
-        x = np.linspace(-10.0, 10.0, 401)
-        pp = toy_potentials(ToyParams(alpha=1.0, beta=0.0, smoothing=1.0), x)
-        u, v = build(
-            DataSpec(kind="wave-packet", omega=0.0, x0=4.0, width=1.0, phase="plain"), x, pp.v
+        cfg = SimConfig(
+            model="toy",
+            toy=ToyParams(alpha=1.0, beta=0.0, smoothing=1.0),
+            grid=Grid(x_min=-10.0, x_max=10.0, h=0.05, dt=0.05),
+            t_final=0.5,
+            data=DataSpec(kind="wave-packet", omega=0.0, x0=4.0, width=1.0, phase="plain"),
         )
-        s = FieldState(u=u, v=v)
-        assert gain_zone([s, s], pp)[0] == pytest.approx(1.0, rel=1e-14)
+        res = run(cfg)
+        assert res.zone_gain.shape == res.energy_times.shape
+        assert res.zone_gain[0] == pytest.approx(1.0, rel=1e-14)
 
 
 class TestModifiedEnergy:

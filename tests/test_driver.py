@@ -140,6 +140,15 @@ def test_validation_rejects_probe_outside_domain():
         run(toy_config(probes=(40.0,)))
 
 
+def test_zone_gain_is_none_without_initial_zone_energy():
+    # a toy packet far left of x = 0 starts with no zone energy to divide by;
+    # the zone gain is undefined, not an empty series
+    left = replace(toy_config().data, x0=-20.0)
+    res = run(toy_config(data=left, probes=()))
+    assert res.zone_gain is None
+    assert len(res.energies) == len(res.energy_times) > 1
+
+
 def test_rn_run_skips_zone_gain():
     cfg = es.SimConfig(
         model="rn",

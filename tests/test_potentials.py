@@ -14,7 +14,10 @@ import ergosim
 from ergosim.geometry import BlackHole, metric_f, metric_f_prime
 from ergosim.potentials import (
     FieldParams,
+    PotentialPair,
+    RNPotentials,
     ToyParams,
+    ToyPotentials,
     effective_ergosphere_boundary,
     no_superradiance_threshold,
     rn_potentials,
@@ -145,6 +148,35 @@ class TestErgosphereBoundary:
     def test_uniform_has_no_boundary(self):
         pp = uniform_potentials(1.0, 0.2, grid(-5, 5))
         assert effective_ergosphere_boundary(pp) == []
+
+
+def model(kind):
+    x = grid(-20, 20, 0.1)
+    if kind == "toy":
+        return toy_potentials(ToyParams(alpha=1.0, beta=0.2, smoothing=1.0), x)
+    if kind == "rn":
+        return rn_potentials(BH, FieldParams(q=1.0, m=0.1, l=2), x)
+    return uniform_potentials(0.7, 0.2, x)
+
+
+@pytest.mark.parametrize("kind", ["toy", "rn", "uniform"])
+class TestModelTypes:
+    def test_types(self, kind):
+        expected = {"toy": ToyPotentials, "rn": RNPotentials, "uniform": PotentialPair}[kind]
+        assert type(model(kind)) is expected
+
+    def test_total_at_reproduces_samples(self, kind):
+        pp = model(kind)
+        assert np.array_equal(pp.total_at(pp.x), pp.total)
+
+    def test_flux_correction(self, kind):
+        pp = model(kind)
+        j = pp.x.size // 3
+        expected = pp.geom.f[j] / pp.geom.r[j] if kind == "rn" else 0.0
+        assert pp.flux_correction(j) == expected
+
+    def test_zone_convention(self, kind):
+        assert model(kind).zone_convention is (kind != "rn")
 
 
 class TestThreshold:
