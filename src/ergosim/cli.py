@@ -21,6 +21,11 @@ Floats are printed with 17 significant digits: rerunning the same
 configuration reproduces the gain/energy/snapshot files byte for byte.
 Sweep summaries additionally record wall time, which is not reproducible.
 
+When a CPU is spare (at least two per run in flight, and the platform can
+fork), a run hands its snapshot files to one forked helper process that
+formats and writes them while the run keeps stepping.  The files and their
+bytes are the same either way.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 1 unexpected error.
 """
@@ -29,9 +34,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import multiprocessing
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +61,8 @@ _MATRIX_MAX_COLS = 2000
 # Values formatted per call of _write_table: 4096 rows of a snapshot, and a
 # transient (block list, tuple and text) under about 1 MB at any width.
 _BLOCK_VALUES = 16384
+# Snapshots handed to a background writer and not yet on disk; bounds memory.
+_SNAPSHOTS_IN_FLIGHT = 2
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -81,28 +92,61 @@ def _write_table(
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-class _SnapshotWriter:
-    """Streams snapshots to disk and keeps a strided |Re u| matrix in memory."""
+def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray) -> None:
+    """One snapshot file: columns x, Re u, Im u, |u|."""
+    # hypot, not np.abs: numpy's vectorized complex abs can differ from the
+    # scalar abs(complex) by one ulp, and the snapshot bytes would change.
+    table = np.column_stack((x, u.real, u.imag, np.hypot(u.real, u.imag)))
+    _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
 
-    def __init__(self, outdir: Path, x: np.ndarray):
+
+def _spare_cpu(runs_in_flight: int) -> bool:
+    """Whether each of ``runs_in_flight`` concurrent runs can give its snapshot
+    writer a CPU of its own (a forked process; needs the "fork" start method)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 * runs_in_flight
+
+
+class _SnapshotWriter:
+    """Streams snapshots to disk and keeps a strided |Re u| matrix in memory.
+
+    With a ``pool``, the snapshot files are written by its worker process while
+    the caller goes on; at most ``_SNAPSHOTS_IN_FLIGHT`` wait there at a time.
+    """
+
+    def __init__(self, outdir: Path, x: np.ndarray, pool: ProcessPoolExecutor | None = None):
         self.dir = outdir / "snapshots"
         self.dir.mkdir(parents=True, exist_ok=True)
         self.x = x
         self.stride = max(1, int(np.ceil(x.size / _MATRIX_MAX_COLS)))
         self.index: list[tuple[str, str]] = []
         self.matrix_rows: list[np.ndarray] = []
+        self.pool = pool
+        self.pending: deque[Future] = deque()
 
     def __call__(self, state) -> None:
         name = f"snap_{len(self.index):06d}.csv"
         u = state.u
-        # hypot, not np.abs: numpy's vectorized complex abs can differ from the
-        # scalar abs(complex) by one ulp, and the snapshot bytes would change.
-        table = np.column_stack((self.x, u.real, u.imag, np.hypot(u.real, u.imag)))
-        _write_table(self.dir / name, ["x", "re_u", "im_u", "abs_u"], table)
+        if self.pool is None:
+            _write_snapshot(self.dir / name, self.x, u)
+        else:
+            if len(self.pending) == _SNAPSHOTS_IN_FLIGHT:
+                self.pending.popleft().result()
+            # A copy: the executor pickles u later, in its feeder thread.
+            self.pending.append(
+                self.pool.submit(_write_snapshot, self.dir / name, self.x, u.copy())
+            )
         self.index.append((_fmt(state.t), name))
         self.matrix_rows.append(np.abs(u.real[:: self.stride]))
 
     def finish(self, outdir: Path) -> None:
+        while self.pending:
+            self.pending.popleft().result()
         _write_csv(self.dir / "index.csv", ["t", "filename"], self.index)
         _write_table(outdir / "amplitude.csv", None, np.array(self.matrix_rows), newline="\n")
 
@@ -151,13 +195,28 @@ def _write_run(result: RunResult, outdir: Path) -> None:
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _execute(cfg: SimConfig, outdir: Path) -> tuple[str, float, bool, float]:
-    """Run one configuration, write its outputs, return a summary row."""
+def _execute(
+    cfg: SimConfig, outdir: Path, runs_in_flight: int = 1
+) -> tuple[str, float, bool, float]:
+    """Run one configuration, write its outputs, return a summary row.
+
+    ``runs_in_flight`` counts the runs executing concurrently with this one
+    (itself included); it decides whether snapshots go to a writer process.
+    """
     t0 = time.perf_counter()
-    writer = _SnapshotWriter(outdir, cfg.grid.x)
-    outdir.mkdir(parents=True, exist_ok=True)
-    result = run(cfg, snapshot_callback=writer)
-    writer.finish(outdir)
+    pool = None
+    if _spare_cpu(runs_in_flight):
+        # "fork": the writer starts without importing numpy and scipy again,
+        # and it is forked at the first submit, before the executor starts
+        # any thread of its own.
+        pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        writer = _SnapshotWriter(outdir, cfg.grid.x, pool)
+        result = run(cfg, snapshot_callback=writer)
+        writer.finish(outdir)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
     if result.flux_series:
@@ -176,8 +235,9 @@ def _execute_family(
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, outdir / (cfg.label or f"run-{i}")) for i, cfg in enumerate(configs)]
     if threads > 1 and len(jobs) > 1:
+        in_flight = min(threads, len(jobs))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_execute, *zip(*jobs)))
+            rows = list(pool.map(_execute, *zip(*jobs), repeat(in_flight)))
     else:
         rows = [_execute(cfg, sub) for cfg, sub in jobs]
 
@@ -199,7 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         description="superradiant energy extraction by charged scalar waves in 1D",
     )
     parser.add_argument("--output-dir", type=Path, default=Path("ergosim-out"))
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for the runs of sweep/repro (default 1); "
+             "snapshot writer processes are not counted",
+    )
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser("run").add_argument("config", type=Path)

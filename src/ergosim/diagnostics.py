@@ -89,25 +89,20 @@ class PlateauSummary:
     window: tuple[float, float]
 
 
-def _window_mask(x: np.ndarray, window: tuple[float, float] | None) -> np.ndarray:
-    if window is None:
-        return np.ones_like(x, dtype=bool)
-    lo, hi = window
-    return (x >= lo - 1e-12) & (x <= hi + 1e-12)
-
-
 def energy_total(
     state: FieldState, pp: PotentialPair, window: tuple[float, float] | None = None
 ) -> EnergyBreakdown:
     """Conserved-energy quadrature, optionally restricted to an x-window."""
-    m = _window_mask(pp.x, window)
-    x = pp.x[m]
-    dt_phi = state.dt_phi(pp.v)[m]
-    dx_phi = np.gradient(state.u, pp.x)[m]
-    u = state.u[m]
+    x, u, v, p = pp.x, state.u, pp.v, pp.p
+    dt_phi = state.dt_phi(v)
+    dx_phi = pp.gradient(u)
+    if window is not None:
+        lo, hi = window
+        m = (x >= lo - 1e-12) & (x <= hi + 1e-12)
+        x, u, v, p, dt_phi, dx_phi = x[m], u[m], v[m], p[m], dt_phi[m], dx_phi[m]
     kin = np.trapezoid(np.abs(dt_phi) ** 2, x)
     grad = np.trapezoid(np.abs(dx_phi) ** 2, x)
-    pot = np.trapezoid((pp.p[m] - pp.v[m] ** 2) * np.abs(u) ** 2, x)
+    pot = np.trapezoid((p - v**2) * np.abs(u) ** 2, x)
     return EnergyBreakdown(kinetic=float(kin), gradient=float(grad), potential=float(pot))
 
 
@@ -122,7 +117,7 @@ def energy_positive_zone(
     m = pp.x >= zone_start - 1e-12
     x = pp.x[m]
     dt_phi = state.dt_phi(pp.v)[m]
-    dx_phi = np.gradient(state.u, pp.x)[m]
+    dx_phi = pp.gradient(state.u)[m]
     integrand = np.abs(dt_phi) ** 2 + np.abs(dx_phi) ** 2 + pp.p[m] * np.abs(state.u[m]) ** 2
     return float(np.trapezoid(integrand, x))
 
@@ -199,7 +194,7 @@ def modified_energy(state: FieldState, pp: PotentialPair) -> float:
     bh, fp, g = pp.bh, pp.fp, pp.geom
     omega_h = fp.q * bh.charge / bh.r_plus
     dt_shift = state.v + 1j * (pp.v - omega_h) * state.u
-    dx_phi = np.gradient(state.u, pp.x)
+    dx_phi = pp.gradient(state.u)
     inv_diff = -g.delta / (g.r * bh.r_plus)  # 1/r - 1/r+
     w = (
         g.f * (fp.m**2 + fp.l * (fp.l + 1) / g.r**2)

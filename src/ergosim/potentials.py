@@ -20,6 +20,7 @@ it is negative is the effective ergosphere, and its boundary points are what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -110,6 +111,34 @@ class PotentialPair:
     def flux_correction(self, j: int) -> float:
         """Coefficient c of the probe's flux term Re[∂t φ conj(∂x φ - c φ)] at node j."""
         return 0.0
+
+    @cached_property
+    def _gradient_stencil(self) -> tuple:
+        """``np.gradient``'s spacing terms for ``x``, computed as it computes
+        them: the interior stencil (a, b, c), or None when all diffs are equal,
+        and the first and last diff."""
+        dx = np.diff(self.x)
+        if (dx == dx[0]).all():
+            return None, dx[0], dx[0]
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        return (a, b, c), dx[0], dx[-1]
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """``np.gradient(u, self.x)`` bit for bit, without re-deriving the
+        grid's spacing terms on every call."""
+        stencil, dx_0, dx_n = self._gradient_stencil
+        out = np.empty_like(u)
+        if stencil is None:
+            out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx_0)
+        else:
+            a, b, c = stencil
+            out[1:-1] = a * u[:-2] + b * u[1:-1] + c * u[2:]
+        out[0] = (u[1] - u[0]) / dx_0
+        out[-1] = (u[-1] - u[-2]) / dx_n
+        return out
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -231,3 +231,61 @@ class TestPlateau:
         with pytest.raises(ValueError):
             GainSeries(probe_x=1.0, times=np.array([0.0, 0.0]),
                        accumulated_flux=np.array([0.0, 1.0]))
+
+
+def _old_energy_total(state, pp, window=None):
+    """energy_total as it was before the cached gradient: an all-true mask
+    when unwindowed, and ``np.gradient`` on every call."""
+    if window is None:
+        m = np.ones_like(pp.x, dtype=bool)
+    else:
+        lo, hi = window
+        m = (pp.x >= lo - 1e-12) & (pp.x <= hi + 1e-12)
+    x = pp.x[m]
+    dt_phi = state.dt_phi(pp.v)[m]
+    dx_phi = np.gradient(state.u, pp.x)[m]
+    u = state.u[m]
+    kin = np.trapezoid(np.abs(dt_phi) ** 2, x)
+    grad = np.trapezoid(np.abs(dx_phi) ** 2, x)
+    pot = np.trapezoid((pp.p[m] - pp.v[m] ** 2) * np.abs(u) ** 2, x)
+    return float(kin), float(grad), float(pot)
+
+
+class TestCachedGradient:
+    @pytest.fixture(
+        params=["toy", "rn-wavepacket", "uniform-exact", "uniform-linspace"]
+    )
+    def pp(self, request):
+        if request.param == "toy":
+            x = Grid(x_min=-30.0, x_max=30.0, h=0.04, dt=0.04).x
+            return toy_potentials(ToyParams(alpha=1.0, beta=0.2, smoothing=1.0), x)
+        if request.param == "rn-wavepacket":
+            x = Grid(x_min=-500.0, x_max=500.0, h=0.04, dt=0.04).x
+            return rn_potentials(BH, FieldParams(q=1.0, m=0.1, l=0), x)
+        if request.param == "uniform-exact":  # every diff is exactly 0.75
+            return uniform_potentials(0.3, 0.1, np.arange(-9.0, 9.75, 0.75))
+        return uniform_potentials(0.3, 0.1, np.linspace(-5.0, 5.0, 201))
+
+    @staticmethod
+    def state(x, seed=0):
+        rng = np.random.default_rng(seed)
+        z = lambda: rng.normal(size=x.size) + 1j * rng.normal(size=x.size)  # noqa: E731
+        return FieldState(u=z() * 10.0 ** rng.integers(-5, 5, x.size), v=z(), t=0.0)
+
+    def test_gradient_equals_np_gradient(self, pp):
+        for seed in range(3):
+            u = self.state(pp.x, seed).u
+            assert np.array_equal(pp.gradient(u), np.gradient(u, pp.x))
+            assert np.array_equal(pp.gradient(u.real), np.gradient(u.real, pp.x))
+
+    def test_both_spacing_branches_covered(self):
+        exact = uniform_potentials(0.0, 0.0, np.arange(-9.0, 9.75, 0.75))
+        grid = Grid(x_min=-500.0, x_max=500.0, h=0.04, dt=0.04).x
+        assert exact._gradient_stencil[0] is None
+        assert toy_potentials(ToyParams(alpha=1.0), grid)._gradient_stencil[0] is not None
+
+    @pytest.mark.parametrize("window", [None, (-3.0, 2.5)])
+    def test_energy_total_equals_old_function(self, pp, window):
+        s = self.state(pp.x)
+        e = energy_total(s, pp, window=window)
+        assert (e.kinetic, e.gradient, e.potential) == _old_energy_total(s, pp, window)

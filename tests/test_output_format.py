@@ -9,19 +9,30 @@ byte):
 * the sha256 of every file of a small toy ``ergosim run`` is pinned.  The
   hashes were recorded with the per-cell writer; they depend on the last bits
   of the arithmetic, so a different LAPACK or numpy build may change them.
+
+The snapshot files may be written by a forked writer process; the tests at
+the end check that it writes the same bytes as the inline path and that no
+writer process outlives a run, however the run ends.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergosim.cli import _SnapshotWriter, _write_table, main
-from ergosim.solver import FieldState
+from ergosim import cli
+from ergosim.cli import _SnapshotWriter, _write_snapshot, _write_table, main
+from ergosim.config import load_config
+from ergosim.solver import FieldState, Stepper
 
 SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, 1e17, -1e17, np.inf, -np.inf, np.nan]
@@ -158,3 +169,166 @@ def test_toy_run_output_hashes(tmp_path):
     assert sorted(written) == sorted(GOLDEN_SHA256)
     for rel, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256(written[rel].read_bytes()).hexdigest() == digest, rel
+
+
+# --- the snapshot writer process ----------------------------------------------
+
+
+def _golden(tmp_path: Path) -> Path:
+    path = tmp_path / "golden.ini"
+    path.write_text(GOLDEN_INI, encoding="utf-8")
+    return path
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# Stand-ins for cli._write_snapshot live at module level, so that the executor
+# can pickle them by reference.
+
+
+def _failing_write_snapshot(path, x, u):
+    raise OSError("disk full while writing " + Path(path).name)
+
+
+def _pid_logging_write_snapshot(path, x, u):
+    """Write the snapshot, then log the writing process in <run dir>.pids."""
+    _write_snapshot(path, x, u)
+    with Path(path).parents[1].with_suffix(".pids").open("a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+class TestWriterProcess:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, a test whose run waits on a lost writer."""
+
+        def expire(signum, frame):
+            raise TimeoutError("snapshot writer test ran past its deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_background_writes_the_inline_bytes(self, tmp_path, monkeypatch):
+        cfg = load_config(_golden(tmp_path))
+        monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
+        pids = {}
+        for background in (False, True):
+            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: background)
+            cli._execute(cfg, tmp_path / str(background))
+            pid_log = tmp_path / f"{background}.pids"
+            pids[background] = set(pid_log.read_text(encoding="utf-8").split())
+        assert pids[False] == {str(os.getpid())}
+        assert len(pids[True]) == 1 and pids[True] != pids[False]
+        inline, background = _files(tmp_path / "False"), _files(tmp_path / "True")
+        assert len(inline) == len(GOLDEN_SHA256)
+        assert inline == background
+        assert multiprocessing.active_children() == []
+
+    def test_writer_error_is_raised_not_hung(self, tmp_path, monkeypatch):
+        cfg = load_config(_golden(tmp_path))
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
+        with pytest.raises(OSError, match="disk full while writing snap_"):
+            cli._execute(cfg, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "snapshots" / "index.csv").exists()
+
+    def test_finish_raises_the_writer_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
+        x = np.linspace(-1.0, 1.0, 11)
+        with cli.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            writer = _SnapshotWriter(tmp_path, x, pool)
+            writer(FieldState(u=x + 0j, v=x + 0j, t=0.0))  # fails in the writer process
+            with pytest.raises(OSError, match="snap_000000.csv"):
+                writer.finish(tmp_path)
+        assert not (tmp_path / "snapshots" / "index.csv").exists()
+        assert not (tmp_path / "amplitude.csv").exists()
+
+    def test_writer_owns_what_it_is_sent(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 3001)
+        u = np.exp(1j * x) * (1.0 + x**2)
+        expected = tmp_path / "expected.csv"
+        _write_snapshot(expected, x, u)
+        with cli.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            writer = _SnapshotWriter(tmp_path / "out", x, pool)
+            for k in range(3):
+                state = FieldState(u=u.copy(), v=u, t=float(k))
+                writer(state)
+                state.u[:] = np.nan  # a stepper that reuses its arrays
+            writer.finish(tmp_path / "out")
+        for k in range(3):
+            written = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
+    def test_numerical_failure_leaves_no_writer(self, tmp_path, monkeypatch, capsys):
+        original = Stepper.step
+        counter = {"n": 0}
+
+        def poisoned(self, state):
+            out = original(self, state)
+            counter["n"] += 1
+            if counter["n"] == 3:
+                out.u[5] = np.inf
+            return out
+
+        monkeypatch.setattr(Stepper, "step", poisoned)
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        args = ["--output-dir", str(tmp_path / "out"), "--quiet", "run", str(_golden(tmp_path))]
+        assert main(args) == 3
+        assert "step 3" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_writer_forks_before_any_thread(self, tmp_path):
+        # Forking a multi-threaded process is deprecated (and warned about from
+        # Python 3.12 on); BLAS pools are kept to one thread so that only the
+        # executor's own threads could be present at the fork.
+        script = """
+import os, sys, threading
+from pathlib import Path
+from ergosim import cli
+from ergosim.config import load_config
+
+at_fork = []
+os.register_at_fork(before=lambda: at_fork.append(threading.active_count()))
+cli._spare_cpu = lambda runs_in_flight: True
+cfg = load_config(Path(sys.argv[1]))
+for k in range(2):
+    cli._execute(cfg, Path(sys.argv[2]) / str(k))
+assert at_fork == [1, 1], at_fork
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", script,
+             str(_golden(tmp_path)), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert _files(tmp_path / "out" / "0") == _files(tmp_path / "out" / "1")
+
+
+class TestSpareCpu:
+    @pytest.mark.parametrize(
+        "cpus, runs_in_flight, background",
+        [(1, 1, False), (2, 1, True), (2, 2, False), (4, 2, True), (3, 2, False)],
+    )
+    def test_rule(self, monkeypatch, cpus, runs_in_flight, background):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert cli._spare_cpu(runs_in_flight) is background
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._spare_cpu(1) is True
+        assert cli._spare_cpu(2) is False
+
+    def test_no_fork_means_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert cli._spare_cpu(1) is False
