@@ -24,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,10 +194,11 @@ def _failing_write_snapshot(path, x, u):
 
 
 def _pid_logging_write_snapshot(path, x, u):
-    """Write the snapshot, then log the writing process in <run dir>.pids."""
+    """Write the snapshot, then log "<pid> <parent pid>" of the writing process
+    in <run dir>.pids."""
     _write_snapshot(path, x, u)
     with Path(path).parents[1].with_suffix(".pids").open("a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
+        fh.write(f"{os.getpid()} {os.getppid()}\n")
 
 
 class TestWriterProcess:
@@ -221,13 +223,46 @@ class TestWriterProcess:
             monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: background)
             cli._execute(cfg, tmp_path / str(background))
             pid_log = tmp_path / f"{background}.pids"
-            pids[background] = set(pid_log.read_text(encoding="utf-8").split())
-        assert pids[False] == {str(os.getpid())}
-        assert len(pids[True]) == 1 and pids[True] != pids[False]
+            pids[background] = set(pid_log.read_text(encoding="utf-8").splitlines())
+        me = str(os.getpid())
+        assert pids[False] == {f"{me} {os.getppid()}"}
+        (writer,) = pids[True]
+        assert writer.split()[0] != me and writer.split()[1] == me
         inline, background = _files(tmp_path / "False"), _files(tmp_path / "True")
         assert len(inline) == len(GOLDEN_SHA256)
         assert inline == background
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="pool workers must inherit the patched writer",
+    )
+    def test_pooled_family_writes_the_inline_bytes(self, tmp_path, monkeypatch):
+        """Pool workers that each fork a writer give the bytes of an inline family."""
+        base = load_config(_golden(tmp_path))
+        configs = [replace(base, label=f"golden-{k}") for k in range(3)]
+        monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
+        # Background exactly when each run is told that two runs are in flight.
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: runs_in_flight == 2)
+        cli._execute_family(configs, tmp_path / "inline", 1, quiet=True)
+        cli._execute_family(configs, tmp_path / "pooled", 2, quiet=True)
+        assert multiprocessing.active_children() == []
+        inline, pooled = _files(tmp_path / "inline"), _files(tmp_path / "pooled")
+        me = str(os.getpid())
+        for cfg in configs:
+            assert inline.pop(f"{cfg.label}.pids").decode() == f"{me} {os.getppid()}\n" * 5
+            # One writer, forked by the pool worker that ran the run.
+            (writer,) = set(pooled.pop(f"{cfg.label}.pids").decode().splitlines())
+            assert me not in writer.split()
+        # summary.csv differs only in its last column, the wall time.
+        inline_rows, pooled_rows = (
+            [row.rsplit(",", 1)[0] for row in tree.pop("summary.csv").decode().splitlines()]
+            for tree in (inline, pooled)
+        )
+        assert len(inline_rows) == 1 + len(configs)
+        assert inline_rows == pooled_rows
+        assert len(inline) == 3 * len(GOLDEN_SHA256)
+        assert inline == pooled
 
     def test_writer_error_is_raised_not_hung(self, tmp_path, monkeypatch):
         cfg = load_config(_golden(tmp_path))
@@ -284,9 +319,16 @@ class TestWriterProcess:
         assert multiprocessing.active_children() == []
 
     def test_writer_forks_before_any_thread(self, tmp_path):
-        # Forking a multi-threaded process is deprecated (and warned about from
-        # Python 3.12 on); BLAS pools are kept to one thread so that only the
-        # executor's own threads could be present at the fork.
+        """The executor forks its worker before it starts a thread of its own.
+
+        Forking a multi-threaded process is deprecated (and warned about from
+        Python 3.12 on).  This checks only the executor's threads: BLAS pools
+        are kept to one thread here.  With the default BLAS settings, the
+        OpenBLAS builds of numpy and scipy each start a pool thread at import
+        (three OS threads on two CPUs), and those are alive at the fork: idle,
+        and the writer makes no BLAS call, but Python 3.12+ warns about them
+        (a DeprecationWarning, hidden unless enabled with ``-W``).
+        """
         script = """
 import os, sys, threading
 from pathlib import Path
