@@ -232,8 +232,14 @@ def _execute_family(
     quiet: bool,
     axis_values: list[tuple[str, str]] | None = None,
 ) -> None:
+    # every run is checked before the first starts, so none is left half written
+    names = [cfg.label or f"run-{i}" for i, cfg in enumerate(configs)]
+    for i, (cfg, name) in enumerate(zip(configs, names)):
+        cfg.validate()
+        if name in names[:i]:
+            raise ConfigError(f"run.label: two runs of the family would write {outdir / name}")
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, outdir / (cfg.label or f"run-{i}")) for i, cfg in enumerate(configs)]
+    jobs = [(cfg, outdir / name) for cfg, name in zip(configs, names)]
     if threads > 1 and len(jobs) > 1:
         in_flight = min(threads, len(jobs))
         with ProcessPoolExecutor(max_workers=threads) as pool:

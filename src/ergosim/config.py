@@ -16,6 +16,11 @@ A sweep file adds
     [sweep]     axis = omega | L | m | q | probe ; values = comma list
 on top of a complete base configuration.
 
+The keys of a section are the fields of the dataclass that holds it (``Grid``,
+``DataSpec``, ``ToyParams``, ...; [run] and [sweep] are the plain fields of
+``SimConfig`` and ``SweepSpec``).  A key whose field has a default may be left
+out, except toy.smoothing; a key that is not a field is refused.
+
 Serialization prints floats with 17 significant digits, so
 parse(serialize(cfg)) reproduces cfg exactly.
 """
@@ -24,10 +29,12 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
+from .diagnostics import _probe_index
 from .geometry import BlackHole
 from .initial_data import DataSpec
 from .potentials import (
@@ -52,12 +59,42 @@ __all__ = [
     "load_sweep",
 ]
 
-MODELS = ("toy", "rn", "uniform")
-SWEEP_AXES = ("omega", "L", "m", "q", "probe")
-
 
 class ConfigError(ValueError):
     """A configuration field is missing, malformed, or inconsistent."""
+
+
+@dataclass(frozen=True)
+class _Model:
+    """The [model] section."""
+
+    kind: str
+
+
+@dataclass(frozen=True)
+class _Uniform:
+    """The [uniform] section; ``SimConfig`` keeps it as the pair (v, p)."""
+
+    v: float
+    p: float
+
+
+# model -> (the function that samples its potentials, then its own INI sections
+# as (section, SimConfig attribute passed to that function, dataclass of the keys))
+_MODELS = {
+    "toy": (toy_potentials, ("toy", "toy", ToyParams)),
+    "rn": (rn_potentials, ("blackhole", "bh", BlackHole), ("field", "fp", FieldParams)),
+    "uniform": (lambda vp, x: uniform_potentials(*vp, x), ("uniform", "uniform", _Uniform)),
+}
+# sweep axis -> (model it needs, SimConfig attribute, field of it); the probe
+# axis sets SimConfig.probes itself
+_AXES = {
+    "omega": (None, "data", "omega"),
+    "L": ("toy", "toy", "smoothing"),
+    "m": ("rn", "fp", "m"),
+    "q": ("rn", "fp", "q"),
+    "probe": (None, None, None),
+}
 
 
 @dataclass(frozen=True)
@@ -83,14 +120,13 @@ class SimConfig:
         return int(round(self.t_final / self.grid.dt))
 
     def validate(self) -> None:
-        if self.model not in MODELS:
-            raise ConfigError(f"model.kind: unknown model {self.model!r}")
-        if self.model == "toy" and self.toy is None:
-            raise ConfigError("toy: section required for toy models")
-        if self.model == "rn" and (self.bh is None or self.fp is None):
-            raise ConfigError("blackhole/field: sections required for rn models")
-        if self.model == "uniform" and self.uniform is None:
-            raise ConfigError("uniform: section required for uniform models")
+        if self.model not in _MODELS:
+            raise ConfigError(
+                f"model.kind: unknown model {self.model!r}, expected one of {tuple(_MODELS)}"
+            )
+        for section, attr, _ in _MODELS[self.model][1:]:
+            if getattr(self, attr) is None:
+                raise ConfigError(f"{section}: section required for {self.model} models")
         if self.t_final <= 0.0:
             raise ConfigError(f"run.t_final: must be positive, got {self.t_final}")
         if not is_whole(self.t_final / self.grid.dt):
@@ -101,23 +137,28 @@ class SimConfig:
         if self.snapshot_stride < 1 or self.energy_stride < 1:
             raise ConfigError("run.snapshot_stride/energy_stride: must be >= 1")
         g = self.grid
+        x = g.x
+        nodes: dict[int, float] = {}
         for p in self.probes:
             if not (g.x_min + g.h <= p <= g.x_max - g.h):
                 raise ConfigError(
                     f"run.probes: probe {p} outside the grid interior "
                     f"({g.x_min + g.h}, {g.x_max - g.h})"
                 )
+            j = _probe_index(p, x)
+            if j in nodes:
+                raise ConfigError(
+                    f"run.probes: probes {nodes[j]} and {p} snap to the same grid node "
+                    f"x = {x[j]:g}"
+                )
+            nodes[j] = p
 
     def potentials(self, x: np.ndarray | None = None) -> PotentialPair:
         """Sample this configuration's coefficient profiles (on ``x`` if given,
         else on the configured grid)."""
-        if x is None:
-            x = self.grid.x
-        if self.model == "toy":
-            return toy_potentials(self.toy, x)
-        if self.model == "rn":
-            return rn_potentials(self.bh, self.fp, x)
-        return uniform_potentials(*self.uniform, x)
+        build, *sections = _MODELS[self.model]
+        args = [getattr(self, attr) for _, attr, _ in sections]
+        return build(*args, self.grid.x if x is None else x)
 
 
 @dataclass(frozen=True)
@@ -129,8 +170,8 @@ class SweepSpec:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}, expected {SWEEP_AXES}")
+        if self.axis not in _AXES:
+            raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}, expected {tuple(_AXES)}")
         if not self.values:
             raise ConfigError("sweep.values: must be nonempty")
 
@@ -140,203 +181,136 @@ class SweepSpec:
     def apply(self, value: float) -> SimConfig:
         base = self.base
         label = f"{base.label or base.model}-{self.axis}-{value:g}"
-        if self.axis == "omega":
-            return replace(base, data=replace(base.data, omega=value), label=label)
-        if self.axis == "L":
-            if base.toy is None:
-                raise ConfigError("sweep.axis: L sweeps need a toy model")
-            return replace(base, toy=replace(base.toy, smoothing=value), label=label)
-        if self.axis in ("m", "q"):
-            if base.fp is None:
-                raise ConfigError(f"sweep.axis: {self.axis} sweeps need an rn model")
-            return replace(base, fp=replace(base.fp, **{self.axis: value}), label=label)
-        return replace(base, probes=(value,), label=label)  # probe
+        model, attr, key = _AXES[self.axis]
+        if model not in (None, base.model):
+            raise ConfigError(f"sweep.axis: {self.axis} sweeps need model.kind = {model}")
+        if attr is None:
+            return replace(base, label=label, probes=(value,))
+        return replace(base, label=label, **{attr: replace(getattr(base, attr), **{key: value})})
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-_MISSING = object()
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, conv, default=_MISSING):
-    if not cp.has_option(section, key):
-        if default is _MISSING:
-            raise ConfigError(f"{section}.{key}: missing required key")
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
-
-
 def _floats(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in raw.split(",") if p.strip())
 
 
-def parse_config(text: str) -> SimConfig:
-    """Parse INI text into a validated :class:`SimConfig`."""
-    cp = configparser.ConfigParser()
+# Annotation of a key's field (a string: annotations are postponed) ->
+# (INI text to value, value to INI text).
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, _fmt),
+    "tuple[float, ...]": (_floats, lambda xs: ", ".join(_fmt(x) for x in xs)),
+    "BoundaryMode": (BoundaryMode, attrgetter("value")),
+}
+# [run] holds the plain fields of SimConfig but the model, [sweep] those of SweepSpec.
+_RUN_KEYS = tuple(f for f in fields(SimConfig) if f.type in _CODECS and f.name != "model")
+_SWEEP_KEYS = tuple(f for f in fields(SweepSpec) if f.type in _CODECS)
+# Files must give these keys although their fields have defaults: L = 1 is no neutral choice.
+_REQUIRED = {"toy.smoothing"}
+
+
+def _ini(text: str, what: str) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None)  # a label may hold '%'
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+    return cp
 
-    for section in ("model", "grid", "run", "data"):
-        if not cp.has_section(section):
-            raise ConfigError(f"{section}: missing required section")
 
-    model = _get(cp, "model", "kind", str)
-    if model not in MODELS:
-        raise ConfigError(f"model.kind: unknown model {model!r}, expected one of {MODELS}")
+def _read(cp: configparser.ConfigParser, section: str, keys) -> dict:
+    """The values of ``section``, one per field in ``keys``; keys left out
+    are left to their fields' defaults."""
+    if not cp.has_section(section):
+        raise ConfigError(f"{section}: missing required section")
+    given = dict(cp.items(section))
+    names = [f.name for f in keys]
+    for key in given:
+        if key not in names:
+            raise ConfigError(f"{section}.{key}: unknown key")
+    values = {}
+    for f in keys:
+        name = f"{section}.{f.name}"
+        if f.name not in given:
+            if f.default is MISSING or name in _REQUIRED:
+                raise ConfigError(f"{name}: missing required key")
+            continue
+        raw = given[f.name].strip()
+        try:
+            values[f.name] = _CODECS[f.type][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
+    return values
 
+
+def _section(cp: configparser.ConfigParser, section: str, schema: type):
+    """``section`` as an instance of the dataclass ``schema``."""
+    values = _read(cp, section, fields(schema))
     try:
-        grid = Grid(
-            x_min=_get(cp, "grid", "x_min", float),
-            x_max=_get(cp, "grid", "x_max", float),
-            h=_get(cp, "grid", "h", float),
-            dt=_get(cp, "grid", "dt", float),
-        )
+        return schema(**values)
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
-    try:
-        data = DataSpec(
-            kind=_get(cp, "data", "kind", str),
-            omega=_get(cp, "data", "omega", float, 0.0),
-            x0=_get(cp, "data", "x0", float, 0.0),
-            width=_get(cp, "data", "width", float, 1.0),
-            phase=_get(cp, "data", "phase", str, "scaled"),
-            support_tol=_get(cp, "data", "support_tol", float, 1e-12),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"data: {exc}") from exc
 
-    toy = bh = fp = uniform = None
-    try:
-        if model == "toy":
-            toy = ToyParams(
-                alpha=_get(cp, "toy", "alpha", float),
-                beta=_get(cp, "toy", "beta", float, 0.0),
-                smoothing=_get(cp, "toy", "smoothing", float),
-            )
-        elif model == "rn":
-            bh = BlackHole(
-                mass=_get(cp, "blackhole", "mass", float),
-                charge=_get(cp, "blackhole", "charge", float),
-                r0=_get(cp, "blackhole", "r0", float, 0.0),
-            )
-            fp = FieldParams(
-                q=_get(cp, "field", "q", float),
-                m=_get(cp, "field", "m", float, 0.0),
-                l=_get(cp, "field", "l", int, 0),
-            )
-        else:
-            uniform = (_get(cp, "uniform", "v", float), _get(cp, "uniform", "p", float))
-    except ConfigError:
-        raise
-    except (ValueError, configparser.NoSectionError) as exc:
-        raise ConfigError(f"{model} parameters: {exc}") from exc
+def _write(cp: configparser.ConfigParser, section: str, obj, keys=None) -> None:
+    keys = keys or fields(obj)
+    cp[section] = {f.name: _CODECS[f.type][1](getattr(obj, f.name)) for f in keys}
 
-    try:
-        bc = BoundaryMode(_get(cp, "run", "bc", str, "transparent"))
-    except ValueError as exc:
-        raise ConfigError(f"run.bc: {exc}") from exc
 
-    cfg = SimConfig(
-        model=model,
-        grid=grid,
-        t_final=_get(cp, "run", "t_final", float),
-        data=data,
-        bc=bc,
-        probes=_get(cp, "run", "probes", _floats, ()),
-        toy=toy,
-        bh=bh,
-        fp=fp,
-        uniform=uniform,
-        snapshot_stride=_get(cp, "run", "snapshot_stride", int, 50),
-        energy_stride=_get(cp, "run", "energy_stride", int, 25),
-        label=_get(cp, "run", "label", str, ""),
-    )
+def _config(cp: configparser.ConfigParser) -> SimConfig:
+    model = _section(cp, "model", _Model).kind
+    parts = {"grid": _section(cp, "grid", Grid), "data": _section(cp, "data", DataSpec)}
+    # an unknown model reads no sections of its own, and validate() refuses it
+    for section, attr, schema in _MODELS.get(model, (None,))[1:]:
+        obj = _section(cp, section, schema)
+        parts[attr] = astuple(obj) if schema is _Uniform else obj
+    cfg = SimConfig(model=model, **parts, **_read(cp, "run", _RUN_KEYS))
     cfg.validate()
     return cfg
 
 
-def serialize_config(cfg: SimConfig) -> str:
-    """Render a :class:`SimConfig` back to INI text (17 significant digits)."""
-    cp = configparser.ConfigParser()
-    cp["model"] = {"kind": cfg.model}
-    g = cfg.grid
-    cp["grid"] = {
-        "x_min": _fmt(g.x_min), "x_max": _fmt(g.x_max), "h": _fmt(g.h), "dt": _fmt(g.dt)
-    }
-    cp["run"] = {
-        "t_final": _fmt(cfg.t_final),
-        "bc": cfg.bc.value,
-        "probes": ", ".join(_fmt(p) for p in cfg.probes),
-        "snapshot_stride": str(cfg.snapshot_stride),
-        "energy_stride": str(cfg.energy_stride),
-        "label": cfg.label,
-    }
-    d = cfg.data
-    cp["data"] = {
-        "kind": d.kind,
-        "omega": _fmt(d.omega),
-        "x0": _fmt(d.x0),
-        "width": _fmt(d.width),
-        "phase": d.phase,
-        "support_tol": _fmt(d.support_tol),
-    }
-    if cfg.toy is not None:
-        cp["toy"] = {
-            "alpha": _fmt(cfg.toy.alpha),
-            "beta": _fmt(cfg.toy.beta),
-            "smoothing": _fmt(cfg.toy.smoothing),
-        }
-    if cfg.bh is not None:
-        cp["blackhole"] = {
-            "mass": _fmt(cfg.bh.mass),
-            "charge": _fmt(cfg.bh.charge),
-            "r0": _fmt(cfg.bh.r0),
-        }
-    if cfg.fp is not None:
-        cp["field"] = {"q": _fmt(cfg.fp.q), "m": _fmt(cfg.fp.m), "l": str(cfg.fp.l)}
-    if cfg.uniform is not None:
-        cp["uniform"] = {"v": _fmt(cfg.uniform[0]), "p": _fmt(cfg.uniform[1])}
+def _config_ini(cfg: SimConfig) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None)
+    _write(cp, "model", _Model(cfg.model))
+    _write(cp, "grid", cfg.grid)
+    _write(cp, "run", cfg, _RUN_KEYS)
+    _write(cp, "data", cfg.data)
+    for section, attr, schema in _MODELS[cfg.model][1:]:
+        obj = getattr(cfg, attr)
+        _write(cp, section, _Uniform(*obj) if schema is _Uniform else obj)
+    return cp
+
+
+def _text(cp: configparser.ConfigParser) -> str:
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
+def parse_config(text: str) -> SimConfig:
+    """Parse INI text into a validated :class:`SimConfig`."""
+    return _config(_ini(text, "configuration"))
+
+
+def serialize_config(cfg: SimConfig) -> str:
+    """Render a :class:`SimConfig` back to INI text (17 significant digits)."""
+    return _text(_config_ini(cfg))
+
+
 def parse_sweep(text: str) -> SweepSpec:
     """Parse a sweep file: a complete base configuration plus a [sweep] section."""
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed sweep file: {exc}") from exc
-    if not cp.has_section("sweep"):
-        raise ConfigError("sweep: missing required section")
-    base = parse_config(text)
-    return SweepSpec(
-        base=base,
-        axis=_get(cp, "sweep", "axis", str),
-        values=_get(cp, "sweep", "values", _floats),
-    )
+    cp = _ini(text, "sweep file")
+    return SweepSpec(base=_config(cp), **_read(cp, "sweep", _SWEEP_KEYS))
 
 
 def serialize_sweep(spec: SweepSpec) -> str:
-    text = serialize_config(spec.base)
-    return text + (
-        f"[sweep]\naxis = {spec.axis}\nvalues = "
-        + ", ".join(_fmt(v) for v in spec.values)
-        + "\n\n"
-    )
+    cp = _config_ini(spec.base)
+    _write(cp, "sweep", spec, _SWEEP_KEYS)
+    return _text(cp)
 
 
 def load_config(path) -> SimConfig:

@@ -122,6 +122,11 @@ def energy_positive_zone(
     return float(np.trapezoid(integrand, x))
 
 
+def _probe_index(x_probe: float, x: np.ndarray) -> int:
+    """Index of the node of the uniform grid ``x`` that a probe at ``x_probe`` samples."""
+    return int(round((x_probe - x[0]) / (x[1] - x[0])))
+
+
 class FluxProbe:
     """Running time-integral of the energy flux through one grid node.
 
@@ -134,7 +139,7 @@ class FluxProbe:
         x = pp.x
         if not (x[1] <= x_probe <= x[-2]):
             raise ValueError(f"probe at {x_probe} outside the interior of the grid")
-        self.index = int(round((x_probe - x[0]) / (x[1] - x[0])))
+        self.index = _probe_index(x_probe, x)
         self.x = float(x[self.index])
         self.sign = {"right": -1.0, "left": 1.0}[outgoing]
         self._pp = pp
