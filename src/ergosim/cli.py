@@ -305,7 +305,10 @@ def main(argv: list[str] | None = None) -> int:
             list(preset.configs), args.output_dir / preset.name, args.threads, args.quiet
         )
         return 0
-    except (ConfigError, SupportError, KeyError, FileNotFoundError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (ConfigError, SupportError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

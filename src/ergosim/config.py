@@ -153,12 +153,11 @@ class SimConfig:
                 )
             nodes[j] = p
 
-    def potentials(self, x: np.ndarray | None = None) -> PotentialPair:
-        """Sample this configuration's coefficient profiles (on ``x`` if given,
-        else on the configured grid)."""
+    def potentials(self, x: np.ndarray) -> PotentialPair:
+        """Sample this configuration's coefficient profiles on the grid ``x``."""
         build, *sections = _MODELS[self.model]
         args = [getattr(self, attr) for _, attr, _ in sections]
-        return build(*args, self.grid.x if x is None else x)
+        return build(*args, x)
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
+    return tuple(_float(p) for p in raw.split(",") if p.strip())
 
 
 # Annotation of a key's field (a string: annotations are postponed) ->
@@ -202,7 +208,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 _CODECS = {
     "str": (str, str),
     "int": (int, str),
-    "float": (float, _fmt),
+    "float": (_float, _fmt),
     "tuple[float, ...]": (_floats, lambda xs: ", ".join(_fmt(x) for x in xs)),
     "BoundaryMode": (BoundaryMode, attrgetter("value")),
 }

@@ -42,6 +42,10 @@ __all__ = [
     "plateau_summary",
 ]
 
+# The plateau rule of ``plateau_summary`` (README "Conventions").
+_PLATEAU_WINDOW_FRAC = 0.1
+_PLATEAU_DRIFT_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -75,8 +79,8 @@ class GainSeries:
     def gain(self) -> np.ndarray:
         return self.accumulated_flux / self.initial_energy
 
-    def summary(self, window_frac: float = 0.1, drift_tol: float = 0.01) -> "PlateauSummary":
-        return plateau_summary(self.times, self.gain, window_frac, drift_tol)
+    def summary(self) -> "PlateauSummary":
+        return plateau_summary(self.times, self.gain)
 
 
 @dataclass(frozen=True)
@@ -106,15 +110,13 @@ def energy_total(
     return EnergyBreakdown(kinetic=float(kin), gradient=float(grad), potential=float(pot))
 
 
-def energy_positive_zone(
-    state: FieldState, pp: PotentialPair, zone_start: float = 0.0
-) -> float:
-    """Zone energy E₊ over x >= zone_start (no 1/2; P-weighted |φ|² term).
+def energy_positive_zone(state: FieldState, pp: PotentialPair) -> float:
+    """Zone energy E₊ over x >= 0 (no 1/2; P-weighted |φ|² term).
 
     On the zone the toy P equals its constant right asymptote, so this is the
     literal positive-definite zone energy of the toy model.
     """
-    m = pp.x >= zone_start - 1e-12
+    m = pp.x >= -1e-12
     x = pp.x[m]
     dt_phi = state.dt_phi(pp.v)[m]
     dx_phi = pp.gradient(state.u)[m]
@@ -210,22 +212,17 @@ def modified_energy(state: FieldState, pp: PotentialPair) -> float:
     return float(np.trapezoid(integrand, pp.x))
 
 
-def plateau_summary(
-    times: np.ndarray,
-    values: np.ndarray,
-    window_frac: float = 0.1,
-    drift_tol: float = 0.01,
-) -> PlateauSummary:
-    """Late-time plateau: mean over the final ``window_frac`` of the run,
-    flagged stabilized when the window's spread is below ``drift_tol`` of it."""
+def plateau_summary(times: np.ndarray, values: np.ndarray) -> PlateauSummary:
+    """Late-time plateau: mean over the final 10 % of the run, flagged
+    stabilized when the window's spread is below 1 % of it."""
     if len(times) < 2:
         raise ValueError("need at least two samples to detect a plateau")
-    t_lo = times[-1] - window_frac * (times[-1] - times[0])
+    t_lo = times[-1] - _PLATEAU_WINDOW_FRAC * (times[-1] - times[0])
     m = times >= t_lo
     window = values[m]
     mean = float(window.mean())
     drift = float(window.max() - window.min())
-    stabilized = drift < drift_tol * max(abs(mean), 1e-12)
+    stabilized = drift < _PLATEAU_DRIFT_TOL * max(abs(mean), 1e-12)
     return PlateauSummary(
         value=mean, stabilized=bool(stabilized), drift=drift, window=(float(t_lo), float(times[-1]))
     )

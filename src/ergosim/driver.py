@@ -48,14 +48,12 @@ class RunResult:
             raise KeyError(f"no probe at x={probe_x}; have {sorted(self.flux_series)}")
         return self.flux_series[key]
 
-    def summary(
-        self, probe_x: float | None = None, window_frac: float = 0.1, drift_tol: float = 0.01
-    ) -> diag.PlateauSummary:
+    def summary(self, probe_x: float | None = None) -> diag.PlateauSummary:
         if probe_x is None:
             if not self.config.probes:
                 raise KeyError("this run had no probes configured")
             probe_x = self.config.probes[0]
-        return self.gain_series(probe_x).summary(window_frac, drift_tol)
+        return self.gain_series(probe_x).summary()
 
 
 def _reference_grid(cfg: SimConfig) -> tuple[Grid, slice]:
@@ -112,30 +110,26 @@ def run(
             return s
         return FieldState(u=s.u[window], v=s.v[window], t=s.t)
 
-    zone_gains: list[float] = []
+    zone_energies: list[float] = []
     energies: list[diag.EnergyBreakdown] = []
     energy_times: list[float] = []
 
-    w0 = window_state(state)
-    initial_energy = diag.energy_total(w0, window_pp)
     flux_denominator = 0.0
     if probes:
         try:
-            flux_denominator = diag.flux_reference_energy(w0, window_pp)
+            flux_denominator = diag.flux_reference_energy(window_state(state), window_pp)
         except ValueError as exc:
             raise ConfigError(
                 f"run.probes: the data at data.x0 = {cfg.data.x0:g} give no energy to "
                 f"normalize the flux gain by ({exc}); move the data or drop the probes"
             ) from exc
-    zone_e0 = diag.energy_positive_zone(w0, window_pp) if pp.zone_convention else 0.0
-    track_zone = zone_e0 > 1e-14
 
     def record_diagnostics(s: FieldState) -> None:
         ws = window_state(s)
         energy_times.append(s.t)
         energies.append(diag.energy_total(ws, window_pp))
-        if track_zone:
-            zone_gains.append(diag.energy_positive_zone(ws, window_pp) / zone_e0)
+        if pp.zone_convention:
+            zone_energies.append(diag.energy_positive_zone(ws, window_pp))
 
     snapshots: list[tuple[float, np.ndarray]] = []
 
@@ -166,15 +160,19 @@ def run(
         if k % cfg.snapshot_stride == 0 or k == n_steps:
             record_snapshot(state)
 
+    # the zone gain is defined when the data start with zone energy
+    zone_gain = None
+    if zone_energies and zone_energies[0] > 1e-14:
+        zone_gain = np.asarray(zone_energies) / zone_energies[0]
     return RunResult(
         config=cfg,
         x=cfg.grid.x,
         flux_series={p.x: p.series(flux_denominator) for p in probes},
         flux_denominator=flux_denominator,
-        initial_energy=initial_energy,
+        initial_energy=energies[0],
         energy_times=np.asarray(energy_times),
         energies=energies,
-        zone_gain=np.asarray(zone_gains) if track_zone else None,
+        zone_gain=zone_gain,
         snapshots=snapshots,
         final_state=window_state(state),
         steps=n_steps,

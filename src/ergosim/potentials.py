@@ -235,37 +235,28 @@ def _checked_grid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def effective_ergosphere_boundary(pp: PotentialPair, xtol: float = 1e-8) -> list[float]:
+def effective_ergosphere_boundary(pp: PotentialPair) -> list[float]:
     """Locate the boundary of the effective ergosphere on the sampled grid.
 
     Returns every position where the total potential P - V² passes between
-    negative and non-negative values, refined to ``xtol`` by bisection of the
-    continuous profile.  Empty if the sign never changes on the grid.
+    negative and non-negative values, refined to 1e-8 by bisection of the
+    continuous profile's sign (which also copes with step-limit profiles that
+    sit exactly at zero on one side).  Empty if the sign never changes on the
+    grid.
     """
-    # imported here: scipy.optimize costs a quarter second at start-up and no
-    # simulation run needs it
-    from scipy.optimize import brentq
-
-    total = pp.total
     x = pp.x
-    negative = total < 0.0
+    negative = pp.total < 0.0
     roots: list[float] = []
     for j in np.nonzero(negative[:-1] != negative[1:])[0]:
-        a, b = total[j], total[j + 1]
-        if a != 0.0 and b != 0.0:
-            roots.append(float(brentq(lambda s: pp.total_at(s), x[j], x[j + 1], xtol=xtol)))
-        else:
-            # one side sits exactly at zero (step-limit profiles): bisect the
-            # negativity predicate instead of the value
-            lo, hi = float(x[j]), float(x[j + 1])
-            neg_lo = bool(a < 0.0)
-            while hi - lo > xtol:
-                mid = 0.5 * (lo + hi)
-                if (pp.total_at(mid) < 0.0) == neg_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+        lo, hi = float(x[j]), float(x[j + 1])
+        neg_lo = bool(negative[j])
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            if (pp.total_at(mid) < 0.0) == neg_lo:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
     return roots
 
 

@@ -64,7 +64,6 @@ def _bc_demo(name: str, v0: float, p0: float, t_final: float, description: str) 
         t_final=t_final,
         data=DataSpec(kind="wave-packet", omega=0.0, x0=0.0, width=1.0,
                       phase="plain", support_tol=1e-8),
-        bc=BoundaryMode.TRANSPARENT,
         uniform=(v0, p0),
         label="transparent",
     )
@@ -85,7 +84,6 @@ def _toy_sweep(name: str, t_final: float, description: str) -> Preset:
         grid=Grid(x_min=-30.0, x_max=30.0, h=0.04, dt=0.04),
         t_final=t_final,
         data=DataSpec(kind="wave-packet", omega=0.0, x0=7.5, width=1.0, phase="plain"),
-        bc=BoundaryMode.TRANSPARENT,
         toy=ToyParams(alpha=1.0, beta=0.0, smoothing=1.0),
         probes=(15.0,),
     )
@@ -96,15 +94,25 @@ def _toy_sweep(name: str, t_final: float, description: str) -> Preset:
     return Preset(name=name, description=description, configs=configs)
 
 
+def _rn(**fields) -> SimConfig:
+    """A run on the near-extremal reference hole with the reference field."""
+    return SimConfig(model="rn", bh=REFERENCE_HOLE, fp=REFERENCE_FIELD, **fields)
+
+
+# The short domain shared by rn-flare and rn-highenergy (flare data there).
+_RN_SHORT = _rn(
+    grid=Grid(x_min=-50.0, x_max=50.0, h=0.04, dt=0.04),
+    t_final=150.0,
+    data=DataSpec(kind="flare", x0=-37.5, width=5.0, support_tol=5e-3),
+    probes=(1.0,),
+)
+
+
 def _rn_wavepacket() -> Preset:
-    base = SimConfig(
-        model="rn",
+    base = _rn(
         grid=Grid(x_min=-500.0, x_max=500.0, h=0.04, dt=0.04),
         t_final=1000.0,
         data=DataSpec(kind="wave-packet", omega=2.3, x0=250.0, width=5.0, phase="scaled"),
-        bc=BoundaryMode.TRANSPARENT,
-        bh=REFERENCE_HOLE,
-        fp=REFERENCE_FIELD,
         probes=(300.0, 320.0),
     )
     configs = tuple(
@@ -120,22 +128,11 @@ def _rn_wavepacket() -> Preset:
 
 
 def _rn_flare() -> Preset:
-    cfg = SimConfig(
-        model="rn",
-        grid=Grid(x_min=-50.0, x_max=50.0, h=0.04, dt=0.04),
-        t_final=150.0,
-        data=DataSpec(kind="flare", x0=-37.5, width=5.0, support_tol=5e-3),
-        bc=BoundaryMode.TRANSPARENT,
-        bh=REFERENCE_HOLE,
-        fp=REFERENCE_FIELD,
-        probes=(1.0,),
-        label="flare",
-    )
     return Preset(
         name="rn-flare",
         description="flare data inside the effective ergosphere; gain far above "
         "the wave-packet values",
-        configs=(cfg,),
+        configs=(replace(_RN_SHORT, label="flare"),),
     )
 
 
@@ -153,25 +150,15 @@ def _highenergy_h(omega: float, width: float) -> float:
 
 
 def _rn_highenergy() -> Preset:
-    base = SimConfig(
-        model="rn",
-        grid=Grid(x_min=-50.0, x_max=50.0, h=0.04, dt=0.04),
-        t_final=150.0,
-        data=DataSpec(kind="oscillating-gaussian", omega=0.0, x0=-37.5, width=5.0,
-                      phase="scaled", support_tol=5e-3),
-        bc=BoundaryMode.TRANSPARENT,
-        bh=REFERENCE_HOLE,
-        fp=REFERENCE_FIELD,
-        probes=(1.0,),
-    )
+    data = replace(_RN_SHORT.data, kind="oscillating-gaussian")
     configs = []
     for om in (0.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        h = _highenergy_h(om, base.data.width)
+        h = _highenergy_h(om, data.width)
         configs.append(
             replace(
-                base,
+                _RN_SHORT,
                 grid=Grid(x_min=-50.0, x_max=50.0, h=h, dt=h),
-                data=replace(base.data, omega=om),
+                data=replace(data, omega=om),
                 label=f"omega-{om:g}",
             )
         )

@@ -60,8 +60,9 @@ __all__ = [
 
 
 def is_whole(ratio: float) -> bool:
-    """Whether ``ratio`` is an integer up to 1e-9 relative (a quotient's roundoff)."""
-    return abs(ratio - round(ratio)) <= 1e-9 * abs(ratio)
+    """Whether ``ratio`` is an integer up to 1e-9 relative (a quotient's roundoff);
+    False for nan and inf."""
+    return bool(np.isfinite(ratio)) and abs(ratio - round(ratio)) <= 1e-9 * abs(ratio)
 
 
 class BoundaryMode(str, Enum):

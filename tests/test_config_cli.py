@@ -254,6 +254,11 @@ class TestValidationMessages:
         with pytest.raises(ConfigError, match="toy"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("t_final", [float("nan"), float("inf")])
+    def test_validate_refuses_non_finite_t_final(self, t_final):
+        with pytest.raises(ConfigError, match="run.t_final"):
+            replace(parse_config(TOY_TEXT), t_final=t_final).validate()
+
     def test_bad_float_names_key(self):
         with pytest.raises(ConfigError, match="grid.h"):
             parse_config(TOY_TEXT.replace("h = 0.1", "h = tiny"))
@@ -461,8 +466,30 @@ class TestCli:
         assert main(["--output-dir", str(tmp_path / "o"), "--quiet", "run", str(cfg)]) == 2
         assert "run.t_final" in capsys.readouterr().err
 
-    def test_unknown_preset_exit_code(self, tmp_path):
+    def test_unknown_preset_exit_code(self, tmp_path, capsys):
         assert main(["--output-dir", str(tmp_path), "repro", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown preset 'nope'; available: {', '.join(preset_names())}\n"
+        )
+
+    @pytest.mark.parametrize("old, new", [
+        ("t_final = 5", "t_final = inf"),
+        ("t_final = 5", "t_final = nan"),
+        ("omega = 0.5", "omega = nan"),
+        ("x0 = 7.5", "x0 = inf"),
+        ("alpha = 1", "alpha = nan"),
+        ("probes = 15, 20", "probes = 15, -inf"),
+    ])
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, old, new):
+        cfg = self.write(tmp_path, TOY_TEXT.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 2
+        key, raw = new.split(" = ")
+        section = {"t_final": "run", "probes": "run", "alpha": "toy"}.get(key, "data")
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key}: cannot parse '{raw}' (not a finite number)\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--quiet", "run", str(tmp_path / "absent.ini")]) == 2

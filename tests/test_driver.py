@@ -7,8 +7,10 @@ import pytest
 from dataclasses import replace
 
 import ergosim as es
+from ergosim import initial_data
+from ergosim.diagnostics import energy_positive_zone
 from ergosim.driver import run
-from ergosim.solver import Stepper
+from ergosim.solver import FieldState, Stepper
 
 
 def toy_config(**overrides):
@@ -41,6 +43,24 @@ def test_flux_sampled_every_step_and_energies_on_stride():
     assert len(res.energy_times) == cfg.n_steps // 10 + 1
     assert len(res.snapshots) == cfg.n_steps // 30 + 1
     assert res.zone_gain[0] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_initial_and_zone_energies_come_from_the_energy_samples():
+    cfg = toy_config(energy_stride=10)
+    res = run(cfg)
+    assert res.initial_energy is res.energies[0]
+    # reference: the zone gain as one division per sample by the zone energy
+    # of the t = 0 data, computed before the run starts
+    pp = cfg.potentials(cfg.grid.x)
+    state = FieldState(*initial_data.build(cfg.data, cfg.grid.x, pp.v), t=0.0)
+    stepper = Stepper(cfg.grid, pp, cfg.bc)
+    zone_e0 = energy_positive_zone(state, pp)
+    expected = [energy_positive_zone(state, pp) / zone_e0]
+    for k in range(1, cfg.n_steps + 1):
+        state = stepper.step(state)
+        if k % cfg.energy_stride == 0 or k == cfg.n_steps:
+            expected.append(energy_positive_zone(state, pp) / zone_e0)
+    assert np.array_equal(res.zone_gain, np.asarray(expected))
 
 
 def test_reference_mode_restricts_to_window():

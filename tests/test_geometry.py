@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosim.geometry import (
+    _Y_FLOOR,
     BlackHole,
+    _solve_y,
     metric_f,
     metric_f_prime,
     radius_from_tortoise,
@@ -142,6 +144,33 @@ def test_deep_throat_clamps_instead_of_failing():
     assert g.f[0] > 0.0
     # plain radius stays strictly outside the horizon
     assert radius_from_tortoise(BH, -1e6) > BH.r_plus
+
+
+def _radius_from_tortoise_reference(bh, x):
+    # the inversion as it was written before it went through sample_grid
+    x = np.asarray(x, dtype=float)
+    y = _solve_y(bh, np.atleast_1d(x))
+    r = bh.r_plus + np.exp(np.maximum(y, _Y_FLOOR))
+    r = np.maximum(r, np.nextafter(bh.r_plus, np.inf))
+    r = r.reshape(x.shape)
+    return r if r.ndim else float(r)
+
+
+def test_radius_from_tortoise_matches_reference_inversion():
+    # clamped throat nodes, the r+ + e^y -> r+ rounding range, and the far field
+    x = np.concatenate([
+        [-1e6, -2e5, -1e5],
+        np.linspace(-20000.0, -200.0, 1001),
+        np.linspace(-200.0, 1e5, 4001),
+    ])
+    assert sample_grid(BH, x).clamped[:2].all()
+    assert np.array_equal(radius_from_tortoise(BH, x), _radius_from_tortoise_reference(BH, x))
+    grid2d = x.reshape(-1, 5)
+    assert np.array_equal(
+        radius_from_tortoise(BH, grid2d), _radius_from_tortoise_reference(BH, grid2d)
+    )
+    for xi in (-1e6, -300.0, 0.0, 7.5):
+        assert radius_from_tortoise(BH, xi) == _radius_from_tortoise_reference(BH, xi)
 
 
 def test_metric_f_monotone_on_grid():

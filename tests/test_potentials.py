@@ -149,6 +149,22 @@ class TestErgosphereBoundary:
         pp = uniform_potentials(1.0, 0.2, grid(-5, 5))
         assert effective_ergosphere_boundary(pp) == []
 
+    @pytest.mark.parametrize("build, root", [
+        # roots of scipy.optimize.brentq(xtol=1e-8), which the finder used before
+        # it bisected every sign change
+        (lambda: toy_potentials(ToyParams(alpha=1.0, beta=0.2, smoothing=1.0), grid(-10, 10, 0.1)),
+         -0.4085094293942545),
+        (lambda: rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, grid(-100, 100, 0.04)),
+         33.6699999999865),
+        (lambda: rn_potentials(REFERENCE_HOLE, FieldParams(q=1.0, m=0.1, l=2), grid(-100, 100, 0.04)),
+         15.051456888653048),
+    ], ids=["toy beta=0.2", "rn l=0", "rn l=2"])
+    def test_bisection_agrees_with_brentq(self, build, root):
+        pp = build()
+        roots = effective_ergosphere_boundary(pp)
+        assert len(roots) == 1
+        assert abs(roots[0] - root) <= 5e-9
+
 
 def model(kind):
     x = grid(-20, 20, 0.1)
@@ -209,14 +225,29 @@ def test_field_params_validation():
         FieldParams(q=1.0, m=0.1, l=-1)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only effective_ergosphere_boundary needs brentq; the CLI must not pay for it
+def _loads_scipy_optimize(code: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` has imported scipy.optimize."""
     src = str(Path(ergosim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    code = "import ergosim.cli, sys; print('scipy.optimize' in sys.modules)"
+    code += "\nimport sys; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a quarter second at start-up; the CLI must not pay for it
+    assert not _loads_scipy_optimize("import ergosim.cli")
+
+
+def test_ergosphere_boundary_leaves_scipy_optimize_unloaded():
+    assert not _loads_scipy_optimize(
+        "import numpy as np\n"
+        "from ergosim.potentials import effective_ergosphere_boundary, rn_potentials\n"
+        "from ergosim.presets import REFERENCE_FIELD, REFERENCE_HOLE\n"
+        "pp = rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, np.arange(-100.0, 100.0, 0.04))\n"
+        "assert len(effective_ergosphere_boundary(pp)) == 1"
+    )
