@@ -53,7 +53,7 @@ from .config import (
     load_sweep,
     serialize_config,
 )
-from .driver import RunResult, run
+from .driver import RunResult, prepare, run
 from .initial_data import SupportError
 from .presets import get_preset, preset_names
 
@@ -121,7 +121,6 @@ class _SnapshotWriter:
 
     def __init__(self, outdir: Path, x: np.ndarray, pool: ProcessPoolExecutor | None = None):
         self.dir = outdir / "snapshots"
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.x = x
         self.stride = max(1, int(np.ceil(x.size / _MATRIX_MAX_COLS)))
         self.index: list[tuple[str, str]] = []
@@ -130,6 +129,8 @@ class _SnapshotWriter:
         self.pending: deque[Future] = deque()
 
     def __call__(self, state) -> None:
+        if not self.index:  # nothing is written before the run's first sample
+            self.dir.mkdir(parents=True, exist_ok=True)
         name = f"snap_{len(self.index):06d}.csv"
         u = state.u
         if self.pool is None:
@@ -232,12 +233,14 @@ def _execute_family(
     quiet: bool,
     axis_values: list[tuple[str, str]] | None = None,
 ) -> None:
-    # every run is checked before the first starts, so none is left half written
+    # every run is set up before the first starts, so none is left half written
     names = [cfg.label or f"run-{i}" for i, cfg in enumerate(configs)]
     for i, (cfg, name) in enumerate(zip(configs, names)):
-        cfg.validate()
+        if name in (".", "..") or os.path.basename(name) != name:
+            raise ConfigError(f"run.label: run directory {name!r} is not one path component")
         if name in names[:i]:
             raise ConfigError(f"run.label: two runs of the family would write {outdir / name}")
+        prepare(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, outdir / name) for cfg, name in zip(configs, names)]
     if threads > 1 and len(jobs) > 1:
@@ -277,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("repro").add_argument("preset")
     sub.add_parser("list-presets")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
 
     try:
         if args.verb == "list-presets":

@@ -136,16 +136,13 @@ class SimConfig:
             )
         if self.snapshot_stride < 1 or self.energy_stride < 1:
             raise ConfigError("run.snapshot_stride/energy_stride: must be >= 1")
-        g = self.grid
-        x = g.x
+        x = self.grid.x
         nodes: dict[int, float] = {}
         for p in self.probes:
-            if not (g.x_min + g.h <= p <= g.x_max - g.h):
-                raise ConfigError(
-                    f"run.probes: probe {p} outside the grid interior "
-                    f"({g.x_min + g.h}, {g.x_max - g.h})"
-                )
-            j = _probe_index(p, x)
+            try:
+                j = _probe_index(p, x)
+            except ValueError as exc:
+                raise ConfigError(f"run.probes: {exc}") from exc
             if j in nodes:
                 raise ConfigError(
                     f"run.probes: probes {nodes[j]} and {p} snap to the same grid node "

@@ -125,8 +125,12 @@ def energy_positive_zone(state: FieldState, pp: PotentialPair) -> float:
 
 
 def _probe_index(x_probe: float, x: np.ndarray) -> int:
-    """Index of the node of the uniform grid ``x`` that a probe at ``x_probe`` samples."""
-    return int(round((x_probe - x[0]) / (x[1] - x[0])))
+    """Index of the node of the uniform grid ``x`` that a probe at ``x_probe``
+    samples; it must be an interior node, where the flux has a centred difference."""
+    j = np.rint((x_probe - x[0]) / (x[1] - x[0]))
+    if not 1 <= j <= x.size - 2:
+        raise ValueError(f"probe {x_probe} outside the grid interior (nodes {x[1]:g} … {x[-2]:g})")
+    return int(j)
 
 
 class FluxProbe:
@@ -139,8 +143,6 @@ class FluxProbe:
 
     def __init__(self, x_probe: float, pp: PotentialPair, outgoing: str = "right"):
         x = pp.x
-        if not (x[1] <= x_probe <= x[-2]):
-            raise ValueError(f"probe at {x_probe} outside the interior of the grid")
         self.index = _probe_index(x_probe, x)
         self.x = float(x[self.index])
         self.sign = {"right": -1.0, "left": 1.0}[outgoing]

@@ -12,13 +12,14 @@ the result is drop-in comparable with a small-domain run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import diagnostics as diag
 from . import initial_data
 from .config import ConfigError, SimConfig
+from .potentials import PotentialPair
 from .solver import BoundaryMode, FieldState, Grid, Stepper
 
 __all__ = ["RunResult", "run"]
@@ -49,9 +50,7 @@ class RunResult:
         return self.flux_series[key]
 
     def summary(self, probe_x: float | None = None) -> diag.PlateauSummary:
-        if probe_x is None:
-            if not self.config.probes:
-                raise KeyError("this run had no probes configured")
+        if probe_x is None and self.config.probes:
             probe_x = self.config.probes[0]
         return self.gain_series(probe_x).summary()
 
@@ -65,14 +64,48 @@ def _reference_grid(cfg: SimConfig) -> tuple[Grid, slice]:
     g = cfg.grid
     pad = 10.0 * cfg.data.width
     extra = int(np.ceil((0.5 * cfg.t_final + pad) / g.h))
-    big = Grid(
-        x_min=g.x_min - extra * g.h,
-        x_max=g.x_max + extra * g.h,
-        h=g.h,
-        dt=g.dt,
-    )
-    window = slice(extra, extra + g.n)
-    return big, window
+    big = replace(g, x_min=g.x_min - extra * g.h, x_max=g.x_max + extra * g.h)
+    return big, slice(extra, extra + g.n)
+
+
+@dataclass(frozen=True)
+class Setup:
+    """A run as it stands before its first step."""
+
+    grid: Grid  # the grid stepped on: the configured one, or the enlarged one
+    bc: BoundaryMode
+    window: slice  # the configured grid within ``grid``
+    pp: PotentialPair = field(repr=False)  # sampled on ``grid``
+    window_pp: PotentialPair = field(repr=False)  # sampled on the configured grid
+    state: FieldState = field(repr=False)  # the data at t = 0
+    flux_denominator: float
+
+
+def prepare(cfg: SimConfig) -> Setup:
+    """Everything a run does before its first step, so every refusal it can
+    meet there (ConfigError, SupportError) is met here, with nothing written."""
+    cfg.validate()
+    reference = cfg.bc is BoundaryMode.REFERENCE
+    grid, window = _reference_grid(cfg) if reference else (cfg.grid, slice(None))
+    bc = BoundaryMode.DIRICHLET if reference else cfg.bc
+    pp = cfg.potentials(grid.x)
+    window_pp = cfg.potentials(cfg.grid.x) if reference else pp
+    state = FieldState(*initial_data.build(cfg.data, grid.x, pp.v), t=0.0)
+
+    flux_denominator = 0.0
+    if cfg.probes:
+        try:
+            flux_denominator = diag.flux_reference_energy(_restrict(state, window), window_pp)
+        except ValueError as exc:
+            raise ConfigError(
+                f"run.probes: the data at data.x0 = {cfg.data.x0:g} give no energy to "
+                f"normalize the flux gain by ({exc}); move the data or drop the probes"
+            ) from exc
+    return Setup(grid, bc, window, pp, window_pp, state, flux_denominator)
+
+
+def _restrict(s: FieldState, window: slice) -> FieldState:
+    return FieldState(u=s.u[window], v=s.v[window], t=s.t)
 
 
 def run(
@@ -86,79 +119,50 @@ def run(
     Flux probes are sampled every step; energies (and the zone gain, on
     backgrounds with the zone convention whose data start with zone energy)
     every ``energy_stride`` steps; window snapshots of u every
-    ``snapshot_stride`` steps when requested.
+    ``snapshot_stride`` steps when requested.  Every sampler also sees t = 0
+    and t = t_final.
     """
-    cfg.validate()
-    reference = cfg.bc is BoundaryMode.REFERENCE
-    if reference:
-        grid, window = _reference_grid(cfg)
-        bc = BoundaryMode.DIRICHLET
-    else:
-        grid, window = cfg.grid, slice(0, cfg.grid.n)
-        bc = cfg.bc
-
-    pp = cfg.potentials(grid.x)
-    window_pp = cfg.potentials(cfg.grid.x) if reference else pp
-    u0, v0 = initial_data.build(cfg.data, grid.x, pp.v)
-    state = FieldState(u=u0, v=v0, t=0.0)
-    stepper = Stepper(grid, pp, bc)
-
-    probes = [diag.FluxProbe(px, pp) for px in cfg.probes]
-
-    def window_state(s: FieldState) -> FieldState:
-        if not reference:
-            return s
-        return FieldState(u=s.u[window], v=s.v[window], t=s.t)
-
-    zone_energies: list[float] = []
+    setup = prepare(cfg)
+    window, window_pp = setup.window, setup.window_pp
+    probes = [diag.FluxProbe(px, setup.pp) for px in cfg.probes]
     energies: list[diag.EnergyBreakdown] = []
     energy_times: list[float] = []
-
-    flux_denominator = 0.0
-    if probes:
-        try:
-            flux_denominator = diag.flux_reference_energy(window_state(state), window_pp)
-        except ValueError as exc:
-            raise ConfigError(
-                f"run.probes: the data at data.x0 = {cfg.data.x0:g} give no energy to "
-                f"normalize the flux gain by ({exc}); move the data or drop the probes"
-            ) from exc
-
-    def record_diagnostics(s: FieldState) -> None:
-        ws = window_state(s)
-        energy_times.append(s.t)
-        energies.append(diag.energy_total(ws, window_pp))
-        if pp.zone_convention:
-            zone_energies.append(diag.energy_positive_zone(ws, window_pp))
-
+    zone_energies: list[float] = []
     snapshots: list[tuple[float, np.ndarray]] = []
 
-    def record_snapshot(s: FieldState) -> None:
-        ws = window_state(s)
+    def sample_energy(s: FieldState) -> None:
+        ws = _restrict(s, window)
+        energy_times.append(s.t)
+        energies.append(diag.energy_total(ws, window_pp))
+        if window_pp.zone_convention:
+            zone_energies.append(diag.energy_positive_zone(ws, window_pp))
+
+    def sample_snapshot(s: FieldState) -> None:
+        ws = _restrict(s, window)
         if collect_snapshots:
             snapshots.append((s.t, ws.u.copy()))
         if snapshot_callback is not None:
             snapshot_callback(ws)
 
-    for probe in probes:
-        probe.sample(state)
-    record_diagnostics(state)
-    record_snapshot(state)
+    # (stride, sampler): a sampler runs at every step k with k % stride == 0,
+    # and at the last step
+    schedule = [(1, probe.sample) for probe in probes]
+    schedule += [(cfg.energy_stride, sample_energy), (cfg.snapshot_stride, sample_snapshot)]
 
+    stepper = Stepper(setup.grid, setup.pp, setup.bc)
+    state = setup.state
     n_steps = cfg.n_steps
-    for k in range(1, n_steps + 1):
-        state = stepper.step(state)
-        # A nan or inf anywhere in u propagates into the sum, and a finite
-        # field whose sum overflows has already overflowed the |u|^2 energy
-        # quadrature; one reduction is cheaper than an elementwise isfinite.
-        if not np.isfinite(state.u.sum()):
-            raise FloatingPointError(f"non-finite field detected at step {k} (t={state.t:g})")
-        for probe in probes:
-            probe.sample(state)
-        if k % cfg.energy_stride == 0 or k == n_steps:
-            record_diagnostics(state)
-        if k % cfg.snapshot_stride == 0 or k == n_steps:
-            record_snapshot(state)
+    for k in range(n_steps + 1):
+        if k:
+            state = stepper.step(state)
+            # A nan or inf anywhere in u propagates into the sum, and a finite
+            # field whose sum overflows has already overflowed the |u|^2 energy
+            # quadrature; one reduction is cheaper than an elementwise isfinite.
+            if not np.isfinite(state.u.sum()):
+                raise FloatingPointError(f"non-finite field detected at step {k} (t={state.t:g})")
+        for stride, sample in schedule:
+            if k % stride == 0 or k == n_steps:
+                sample(state)
 
     # the zone gain is defined when the data start with zone energy
     zone_gain = None
@@ -167,13 +171,13 @@ def run(
     return RunResult(
         config=cfg,
         x=cfg.grid.x,
-        flux_series={p.x: p.series(flux_denominator) for p in probes},
-        flux_denominator=flux_denominator,
+        flux_series={p.x: p.series(setup.flux_denominator) for p in probes},
+        flux_denominator=setup.flux_denominator,
         initial_energy=energies[0],
         energy_times=np.asarray(energy_times),
         energies=energies,
         zone_gain=zone_gain,
         snapshots=snapshots,
-        final_state=window_state(state),
+        final_state=_restrict(state, window),
         steps=n_steps,
     )

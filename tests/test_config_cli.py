@@ -332,7 +332,7 @@ class TestValidationMessages:
 
 
 class TestReadme:
-    """The configuration examples of README.md parse as documented."""
+    """The configuration examples of README.md parse, and its Python example runs."""
 
     def blocks(self) -> list[str]:
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -349,6 +349,13 @@ class TestReadme:
         assert uniform.uniform == (1.0, 0.2)
         spec = parse_sweep(config + sweep)
         assert spec.axis == "omega" and spec.values == (0.0, 2.3, 4.0, 10.0)
+
+    def test_library_use_block_runs(self, capsys):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        (code,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+        exec(compile(code, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"asymptotic gain \d+\.\d{3}, stabilized: True\n", out), out
 
 
 class TestSweep:
@@ -506,3 +513,56 @@ class TestCli:
         bad = TOY_TEXT.replace("x0 = 7.5", "x0 = 29.5")
         cfg = self.write(tmp_path, bad)
         assert main(["--output-dir", str(tmp_path / "o"), "--quiet", "run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("x0", ["29.5", "-20"])
+    def test_run_refused_before_its_first_step_writes_nothing(self, tmp_path, x0):
+        # 29.5 fails the support check, -20 gives the flux gain no denominator
+        cfg = self.write(tmp_path, TOY_TEXT.replace("x0 = 7.5", f"x0 = {x0}"))
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_sweep_run_failing_the_support_check_starts_no_run(self, tmp_path, capsys):
+        # at omega = 0 the data fit the grid; at omega = 50 their v tail does not
+        text = TOY_TEXT.replace("x0 = 7.5", "x0 = 24.4")
+        sweep = self.write(tmp_path, text + "\n[sweep]\naxis = omega\nvalues = 0, 50\n")
+        out = tmp_path / "sw"
+        assert main(["--output-dir", str(out), "--quiet", "sweep", str(sweep)]) == 2
+        assert "support tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_label_leaving_the_output_dir_is_refused(self, tmp_path, capsys):
+        text = TOY_TEXT.replace("label = toy-demo", "label = ../escaped")
+        sweep = self.write(tmp_path, text + "\n[sweep]\naxis = L\nvalues = 0.5\n")
+        out = tmp_path / "sw"
+        assert main(["--output-dir", str(out), "--quiet", "sweep", str(sweep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.label:") and "'../escaped-L-0.5'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output-dir", str(tmp_path / "o"), "--threads", threads, "list-presets"])
+        assert exc.value.code == 2
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
+    # x[-2] of this grid is 4.899999999999999, one rounding below 4.9
+    EDGE_TEXT = TOY_TEXT.replace("x_max = 30", "x_max = 5").replace("x0 = 7.5", "x0 = -1")
+
+    @pytest.mark.parametrize("probe", ["4.9", "4.94"])
+    def test_probe_on_the_last_interior_node_runs(self, tmp_path, probe):
+        cfg = self.write(tmp_path, self.EDGE_TEXT.replace("probes = 15, 20", f"probes = {probe}"))
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 0
+        header = (out / "gain.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "t,flux_at_4.9,gain_at_4.9"
+
+    @pytest.mark.parametrize("probe", ["4.96", "5", "-29.96"])
+    def test_probe_snapping_to_an_end_node_is_refused(self, tmp_path, capsys, probe):
+        cfg = self.write(tmp_path, self.EDGE_TEXT.replace("probes = 15, 20", f"probes = {probe}"))
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run.probes: probe {float(probe)} outside")
+        assert not out.exists()

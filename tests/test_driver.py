@@ -45,6 +45,19 @@ def test_flux_sampled_every_step_and_energies_on_stride():
     assert res.zone_gain[0] == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("bc", [es.BoundaryMode.TRANSPARENT, es.BoundaryMode.REFERENCE])
+@pytest.mark.parametrize("stride", [1, 7, 13, 500])
+def test_samplers_share_the_probe_time_axis(bc, stride):
+    # 120 steps: 7 and 13 do not divide it, 500 exceeds it
+    cfg = toy_config(bc=bc, energy_stride=stride, snapshot_stride=stride)
+    res = run(cfg, collect_snapshots=True)
+    probe_times = res.gain_series(15.0).times
+    assert probe_times.size == cfg.n_steps + 1
+    ks = sorted(set(range(0, cfg.n_steps + 1, stride)) | {cfg.n_steps})
+    assert np.array_equal(res.energy_times, probe_times[ks])
+    assert np.array_equal([t for t, _ in res.snapshots], probe_times[ks])
+
+
 def test_initial_and_zone_energies_come_from_the_energy_samples():
     cfg = toy_config(energy_stride=10)
     res = run(cfg)
