@@ -245,7 +245,7 @@ def _execute_family(
     jobs = [(cfg, outdir / name) for cfg, name in zip(configs, names)]
     if threads > 1 and len(jobs) > 1:
         in_flight = min(threads, len(jobs))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=in_flight) as pool:
             rows = list(pool.map(_execute, *zip(*jobs), repeat(in_flight)))
     else:
         rows = [_execute(cfg, sub) for cfg, sub in jobs]
@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (ConfigError, SupportError, FileNotFoundError) as exc:
+    except (ConfigError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -316,11 +316,18 @@ def serialize_sweep(spec: SweepSpec) -> str:
     return _text(cp)
 
 
+def _file_text(path) -> str:
+    """The text of a UTF-8 configuration file; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def load_config(path) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_file_text(path))
 
 
 def load_sweep(path) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_sweep(fh.read())
+    return parse_sweep(_file_text(path))

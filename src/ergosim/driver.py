@@ -42,12 +42,16 @@ class RunResult:
     steps: int = 0
 
     def gain_series(self, probe_x: float) -> diag.GainSeries:
+        """The series of the probe on the node ``probe_x`` snaps to, by the rule
+        that placed the probes (``diagnostics._probe_index`` on the configured grid)."""
         if not self.flux_series:
             raise KeyError("this run had no probes configured")
-        key = min(self.flux_series, key=lambda p: abs(p - probe_x))
-        if abs(key - probe_x) > 0.5 * self.config.grid.h:
-            raise KeyError(f"no probe at x={probe_x}; have {sorted(self.flux_series)}")
-        return self.flux_series[key]
+        x = self.config.grid.x
+        try:
+            j = diag._probe_index(probe_x, x)
+            return next(s for p, s in self.flux_series.items() if diag._probe_index(p, x) == j)
+        except (ValueError, StopIteration):
+            raise KeyError(f"no probe at x={probe_x}; have {sorted(self.flux_series)}") from None
 
     def summary(self, probe_x: float | None = None) -> diag.PlateauSummary:
         if probe_x is None and self.config.probes:
@@ -116,26 +120,22 @@ def run(
 ) -> RunResult:
     """Advance the configured problem from t = 0 to t = t_final.
 
-    Flux probes are sampled every step; energies (and the zone gain, on
-    backgrounds with the zone convention whose data start with zone energy)
-    every ``energy_stride`` steps; window snapshots of u every
-    ``snapshot_stride`` steps when requested.  Every sampler also sees t = 0
-    and t = t_final.
+    Flux probes are sampled every step; energies every ``energy_stride``
+    steps, by one ``energy_total`` call each, whose zone energy (None on the
+    black-hole background) gives the zone gain when the data start with zone
+    energy; window snapshots of u every ``snapshot_stride`` steps when
+    requested.  Every sampler also sees t = 0 and t = t_final.
     """
     setup = prepare(cfg)
     window, window_pp = setup.window, setup.window_pp
     probes = [diag.FluxProbe(px, setup.pp) for px in cfg.probes]
     energies: list[diag.EnergyBreakdown] = []
     energy_times: list[float] = []
-    zone_energies: list[float] = []
     snapshots: list[tuple[float, np.ndarray]] = []
 
     def sample_energy(s: FieldState) -> None:
-        ws = _restrict(s, window)
         energy_times.append(s.t)
-        energies.append(diag.energy_total(ws, window_pp))
-        if window_pp.zone_convention:
-            zone_energies.append(diag.energy_positive_zone(ws, window_pp))
+        energies.append(diag.energy_total(_restrict(s, window), window_pp))
 
     def sample_snapshot(s: FieldState) -> None:
         ws = _restrict(s, window)
@@ -165,9 +165,9 @@ def run(
                 sample(state)
 
     # the zone gain is defined when the data start with zone energy
-    zone_gain = None
-    if zone_energies and zone_energies[0] > 1e-14:
-        zone_gain = np.asarray(zone_energies) / zone_energies[0]
+    zone0, zone_gain = energies[0].zone, None
+    if zone0 is not None and zone0 > 1e-14:
+        zone_gain = np.asarray([e.zone for e in energies]) / zone0
     return RunResult(
         config=cfg,
         x=cfg.grid.x,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import importlib.util
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -462,6 +465,67 @@ class TestCli:
         out = tmp_path / "sw"
         assert main(["--output-dir", str(out), "--quiet", "sweep", str(sweep)]) == 2
         assert capsys.readouterr().err.startswith("error: run.probes: probe 40.0 outside")
+        assert not out.exists()
+
+    # (7.5 + 30) / 0.04 = 937.5: the probe snaps to node 938, x = 7.520000000000003
+    SNAP_TEXT = (
+        TOY_TEXT.replace("h = 0.1", "h = 0.04").replace("dt = 0.1", "dt = 0.04")
+        .replace("t_final = 5", "t_final = 4").replace("probes = 15, 20", "probes = 7.5")
+    )
+
+    @pytest.mark.parametrize("bc", ["transparent", "reference"])
+    def test_probe_snapping_more_than_half_a_step_runs(self, tmp_path, bc):
+        text = self.SNAP_TEXT.replace("bc = transparent", f"bc = {bc}")
+        cfg, out = self.write(tmp_path, text), tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 0
+        header = (out / "gain.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "t,flux_at_7.52,gain_at_7.52"
+        assert "probe 7.52: gain_inf = " in (out / "summary.txt").read_text(encoding="utf-8")
+
+    def test_probe_sweep_snapping_more_than_half_a_step_runs(self, tmp_path):
+        sweep = self.write(tmp_path, self.SNAP_TEXT + "\n[sweep]\naxis = probe\nvalues = 7.5, 15\n")
+        out = tmp_path / "sw"
+        assert main(["--output-dir", str(out), "--quiet", "sweep", str(sweep)]) == 0
+        lines = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["probe", "7.5"], ["probe", "15"]]
+
+    def test_family_pool_forks_one_worker_per_run_in_flight(self, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("counts the forks of the fork start method")
+        # with fork, the pool starts all of its max_workers at the first submit
+        script = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+from ergosim.cli import main
+assert main(sys.argv[1:]) == 0
+print(len(forks))
+"""
+        sweep = self.write(tmp_path, TOY_TEXT + "\n[sweep]\naxis = L\nvalues = 0.5, 1\n")
+        src = Path(es.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        argv = ["--output-dir", str(tmp_path / "sw"), "--quiet", "--threads", "3", "sweep"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, str(sweep)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, verb, kind):
+        path = tmp_path / "cfg.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(("# café\n" + TOY_TEXT).encode("latin-1"))
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "--quiet", verb, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: ")
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):

@@ -289,3 +289,60 @@ class TestCachedGradient:
         s = self.state(pp.x)
         e = energy_total(s, pp, window=window)
         assert (e.kinetic, e.gradient, e.potential) == _old_energy_total(s, pp, window)
+
+
+def _old_energy_positive_zone(state, pp, window=None):
+    """energy_positive_zone as it was before energy_total integrated the zone
+    energy itself; ``window`` further restricts the zone to the window's nodes."""
+    m = pp.x >= -1e-12
+    if window is not None:
+        lo, hi = window
+        m &= (pp.x >= lo - 1e-12) & (pp.x <= hi + 1e-12)
+    x = pp.x[m]
+    dt_phi = state.dt_phi(pp.v)[m]
+    dx_phi = pp.gradient(state.u)[m]
+    integrand = np.abs(dt_phi) ** 2 + np.abs(dx_phi) ** 2 + pp.p[m] * np.abs(state.u[m]) ** 2
+    return float(np.trapezoid(integrand, x))
+
+
+class TestZoneEnergy:
+    GRID = Grid(x_min=-30.0, x_max=30.0, h=0.04, dt=0.04)
+
+    @pytest.fixture(params=["toy", "uniform"])
+    def pp(self, request):
+        if request.param == "toy":
+            return toy_potentials(ToyParams(alpha=1.0, beta=0.2, smoothing=1.0), self.GRID.x)
+        return uniform_potentials(1.0, 0.2, self.GRID.x)  # P = 0.2, P - V² = -0.8
+
+    def states(self, pp):
+        packet = build(
+            DataSpec(kind="wave-packet", omega=0.5, x0=7.5, width=1.0, phase="plain"),
+            pp.x, pp.v,
+        )
+        yield FieldState(*packet)
+        for seed in range(3):
+            yield TestCachedGradient.state(pp.x, seed)
+
+    def test_zone_equals_old_function(self, pp):
+        for s in self.states(pp):
+            assert energy_total(s, pp).zone == _old_energy_positive_zone(s, pp)
+            assert energy_positive_zone(s, pp) == _old_energy_positive_zone(s, pp)
+
+    def test_windowed_zone_equals_masked_old_function(self, pp):
+        window = (-3.0, 2.5)
+        for s in self.states(pp):
+            zone = energy_total(s, pp, window=window).zone
+            assert zone == _old_energy_positive_zone(s, pp, window)
+
+    def test_flux_reference_energy_is_half_the_old_zone_energy(self):
+        pp = toy_potentials(ToyParams(alpha=1.0, beta=0.2, smoothing=1.0), self.GRID.x)
+        for s in self.states(pp):
+            assert flux_reference_energy(s, pp) == 0.5 * _old_energy_positive_zone(s, pp)
+
+    def test_no_zone_on_the_black_hole_background(self):
+        x = np.linspace(-50.0, 50.0, 2001)
+        pp = rn_potentials(BH, FieldParams(q=1.0, m=0.1, l=0), x)
+        u, v = build(DataSpec(kind="flare", x0=-10.0, width=3.0, support_tol=1e-3), x, pp.v)
+        s = FieldState(u=u, v=v)
+        assert energy_total(s, pp).zone is None
+        assert energy_positive_zone(s, pp) is None

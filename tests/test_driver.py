@@ -96,6 +96,26 @@ def test_probe_lookup_snaps_to_node():
         res.gain_series(14.0)
 
 
+@pytest.mark.parametrize("bc", [es.BoundaryMode.TRANSPARENT, es.BoundaryMode.REFERENCE])
+def test_probe_lookup_follows_the_probe_snapping_rule(bc):
+    # (7.5 + 30) / 0.04 = 937.5 rounds to node 938 at x = 7.520000000000003,
+    # more than h/2 from 7.5; 7.51 snaps there too, 7.49 to node 937
+    cfg = toy_config(
+        bc=bc, grid=es.Grid(x_min=-30.0, x_max=30.0, h=0.04, dt=0.04), t_final=4.0,
+        probes=(7.5,),
+    )
+    res = run(cfg)
+    (series,) = res.flux_series.values()
+    assert series.probe_x == pytest.approx(7.52, abs=1e-9)
+    for x in (7.5, 7.51):
+        assert res.gain_series(x) is series
+        assert res.summary(x) == series.summary()
+    assert res.summary() == series.summary()
+    for x in (7.49, 40.0):
+        with pytest.raises(KeyError):
+            res.gain_series(x)
+
+
 def test_tortoise_offset_is_pure_gauge():
     # shifting the tortoise origin together with every x-landmark leaves the
     # gain invariant to rounding

@@ -2,7 +2,8 @@
 
     python3 tools/src_loc.py [SRC_DIR]
 
-Prints one ``<lines>  <module>`` row per module and then the total.  A line
+Prints one ``<lines>  <module>`` row per module and then the total; exits 2
+when SRC_DIR holds no ``*.py`` module (a wrong path, say).  A line
 counts when it is not blank, not a comment-only line and not part of a
 docstring (the string that opens a module, class or function body).
 """
@@ -46,8 +47,12 @@ def code_lines(text: str) -> int:
 
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else ROOT / "src" / "ergosim"
+    modules = sorted(src.glob("*.py"))
+    if not modules:
+        print(f"src_loc: no *.py modules in {src}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(src.glob("*.py")):
+    for path in modules:
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{n:5d}  {path.name}")
