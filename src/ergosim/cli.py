@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import multiprocessing
 import os
 import sys
@@ -63,6 +64,8 @@ _MATRIX_MAX_COLS = 2000
 _BLOCK_VALUES = 16384
 # Snapshots handed to a background writer and not yet on disk; bounds memory.
 _SNAPSHOTS_IN_FLIGHT = 2
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -100,6 +103,27 @@ def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray) -> None:
     _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
 
 
+def _reuse_freed_arrays() -> None:
+    """Let glibc's malloc give a freed grid-sized array to the next allocation.
+
+    Each step frees two grid-sized arrays and allocates two more.  glibc maps
+    blocks above an adaptive threshold (128 KB at start) from the kernel and
+    trims freed memory at the top of its heap, so without this the steps of
+    a run at n = 20001 fault in about ten new pages each.  These are the
+    largest values glibc's adaptive rule reaches on 64-bit, fixed from the
+    start.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:  # a libc without mallopt
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _spare_cpu(runs_in_flight: int) -> bool:
     """Whether each of ``runs_in_flight`` concurrent runs can give its snapshot
     writer a CPU of its own (a forked process; needs the "fork" start method)."""
@@ -112,21 +136,52 @@ def _spare_cpu(runs_in_flight: int) -> bool:
     return cpus >= 2 * runs_in_flight
 
 
+# In a snapshot writer process: the grid x of its run, inherited at the fork,
+# so that each snapshot sends only u.
+_writer_x: np.ndarray | None = None
+
+
+def _hold_grid(x: np.ndarray) -> None:
+    global _writer_x
+    _writer_x = x
+
+
+def _write_held_grid_snapshot(path: Path, u: np.ndarray) -> None:
+    _write_snapshot(path, _writer_x, u)
+
+
 class _SnapshotWriter:
     """Streams snapshots to disk and keeps a strided |Re u| matrix in memory.
 
-    With a ``pool``, the snapshot files are written by its worker process while
-    the caller goes on; at most ``_SNAPSHOTS_IN_FLIGHT`` wait there at a time.
+    With ``background``, the snapshot files are written by a writer process
+    of its own while the caller goes on; at most ``_SNAPSHOTS_IN_FLIGHT`` wait
+    there at a time.  Use it as a context manager: leaving the block stops the
+    writer process.
     """
 
-    def __init__(self, outdir: Path, x: np.ndarray, pool: ProcessPoolExecutor | None = None):
+    def __init__(self, outdir: Path, x: np.ndarray, background: bool = False):
         self.dir = outdir / "snapshots"
         self.x = x
         self.stride = max(1, int(np.ceil(x.size / _MATRIX_MAX_COLS)))
         self.index: list[tuple[str, str]] = []
         self.matrix_rows: list[np.ndarray] = []
-        self.pool = pool
         self.pending: deque[Future] = deque()
+        self.pool = None
+        if background:
+            # "fork": the writer starts without importing numpy again and
+            # inherits x; it is forked at the first submit, before the
+            # executor starts any thread of its own.
+            self.pool = ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_hold_grid, initargs=(x,),
+            )
+
+    def __enter__(self) -> _SnapshotWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
     def __call__(self, state) -> None:
         if not self.index:  # nothing is written before the run's first sample
@@ -140,7 +195,7 @@ class _SnapshotWriter:
                 self.pending.popleft().result()
             # A copy: the executor pickles u later, in its feeder thread.
             self.pending.append(
-                self.pool.submit(_write_snapshot, self.dir / name, self.x, u.copy())
+                self.pool.submit(_write_held_grid_snapshot, self.dir / name, u.copy())
             )
         self.index.append((_fmt(state.t), name))
         self.matrix_rows.append(np.abs(u.real[:: self.stride]))
@@ -205,19 +260,10 @@ def _execute(
     (itself included); it decides whether snapshots go to a writer process.
     """
     t0 = time.perf_counter()
-    pool = None
-    if _spare_cpu(runs_in_flight):
-        # "fork": the writer starts without importing numpy and scipy again,
-        # and it is forked at the first submit, before the executor starts
-        # any thread of its own.
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
-    try:
-        writer = _SnapshotWriter(outdir, cfg.grid.x, pool)
+    _reuse_freed_arrays()  # here, so that pool workers of any start method get it
+    with _SnapshotWriter(outdir, cfg.grid.x, _spare_cpu(runs_in_flight)) as writer:
         result = run(cfg, snapshot_callback=writer)
         writer.finish(outdir)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
     if result.flux_series:

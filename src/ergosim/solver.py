@@ -39,15 +39,20 @@ are those of the expressions above, so results are bit-identical to evaluating
 them with temporaries.  Returned states alias neither their input nor the
 scratch buffers, so callers may keep old states; the scratch makes a
 ``Stepper`` non-reentrant (one step at a time per instance).
+
+LAPACK's zgttrf/zgttrs come from the OpenBLAS that numpy's wheels bundle,
+called through ctypes, so a run does not import scipy; with a numpy built
+without it (conda, system packages) they come from scipy.linalg.lapack.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf as _zgttrf, zgttrs as _zgttrs
 
 from .potentials import PotentialPair
 
@@ -122,21 +127,110 @@ class FieldState:
         return self.v + 1j * v_profile * self.u
 
 
+class _OpenBLAS:
+    """LAPACK's zgttrf/zgttrs from the ILP64 OpenBLAS that numpy's wheels bundle,
+    called through ctypes (Fortran ABI: every argument by reference, 64-bit
+    integers, and the hidden length of ``TRANS`` last)."""
+
+    name = "ctypes"
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._trf, self._trs = lib.scipy_zgttrf_64_, lib.scipy_zgttrs_64_
+        # Without argtypes, ctypes would pass the pointers as C ints, cut to 32 bits.
+        ptr, i64 = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)
+        self._trf.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64]
+        self._trs.argtypes = [
+            ctypes.c_char_p, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ctypes.c_size_t
+        ]
+        self._trf.restype = self._trs.restype = None
+
+    def factor(self, lower, diag, upper):
+        # fresh contiguous copies, as scipy's f2py wrappers make: zgttrf
+        # overwrites them with the factors
+        dl, d, du = (np.array(a, dtype=np.complex128) for a in (lower, diag, upper))
+        n = ctypes.c_int64(d.size)
+        info, one = ctypes.c_int64(), ctypes.c_int64(1)
+        fact = (dl, d, du, np.empty(max(d.size - 2, 0), dtype=np.complex128),
+                np.empty(d.size, dtype=np.int64))
+        pointers = [a.ctypes.data for a in fact]
+        self._trf(n, *pointers, info)
+        trs, head = self._trs, (b"N", n, one, *pointers)
+
+        def solve(b: np.ndarray) -> int:
+            trs(*head, b.ctypes.data, n, info, 1)
+            return info.value
+
+        return fact, solve, info.value
+
+
+class _Scipy:
+    """The same routines through scipy's f2py wrappers, for a numpy without the
+    bundled OpenBLAS (conda or system builds).  Importing scipy.linalg is a
+    large part of a run's start-up, so it happens only when this binding is
+    chosen."""
+
+    name = "scipy"
+
+    def __init__(self):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        self._trf, self._trs = zgttrf, zgttrs
+
+    def factor(self, lower, diag, upper):
+        *fact, info = self._trf(lower, diag, upper)
+        trs = self._trs
+
+        def solve(b: np.ndarray) -> int:
+            # overwrite_b: a contiguous complex128 b is solved in place
+            return trs(*fact, b, overwrite_b=1)[1]
+
+        return tuple(fact), solve, info
+
+
+def _lapack(libdir: Path) -> _OpenBLAS | _Scipy:
+    """The ctypes binding to the first ``libscipy_openblas64_*.so`` in
+    ``libdir`` that exports both routines, else scipy's."""
+    for path in sorted(libdir.glob("libscipy_openblas64_*.so")):
+        try:
+            return _OpenBLAS(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError):  # not loadable, or without the symbols
+            continue
+    return _Scipy()
+
+
+# numpy's wheels put their shared libraries in numpy.libs, beside the package
+_LAPACK = _lapack(Path(np.__file__).resolve().parents[1] / "numpy.libs")
+
+
 class _TridiagLU:
     """LU factorization of a complex tridiagonal matrix, reused every step."""
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        # lower[j] sits in row j+1, upper[j] in row j
-        dl, d, du, du2, ipiv, info = _zgttrf(lower, diag, upper)
+        # lower[j] sits in row j+1, upper[j] in row j; _solve writes through
+        # raw pointers into _fact, which this object keeps alive
+        self.n = diag.size
+        self._fact, self._solve, info = _LAPACK.factor(lower, diag, upper)
         if info != 0:
             raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._fact = (dl, d, du, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = _zgttrs(*self._fact, rhs, overwrite_b=1)
+        """Overwrite ``rhs`` with the solution and return it."""
+        # LAPACK reads and writes n values at rhs's address, unchecked
+        if not (
+            isinstance(rhs, np.ndarray)
+            and rhs.dtype == np.complex128
+            and rhs.shape == (self.n,)
+            and rhs.flags.c_contiguous
+            and rhs.flags.writeable
+        ):
+            raise ValueError(
+                f"right-hand side must be a writeable, C-contiguous complex128 "
+                f"array of shape ({self.n},)"
+            )
+        info = self._solve(rhs)
         if info != 0:  # pragma: no cover
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x
+        return rhs
 
 
 class Stepper:

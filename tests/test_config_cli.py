@@ -26,6 +26,7 @@ from ergosim.config import (
     serialize_sweep,
 )
 from ergosim.presets import get_preset, preset_names
+from ergosim.solver import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -513,6 +514,35 @@ print(len(forks))
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
+    def test_steps_reuse_freed_memory(self, tmp_path):
+        """Each step frees two grid-sized arrays and allocates two; malloc must
+        hand the freed memory back rather than new pages that fault in."""
+        script = """
+import resource, sys
+from ergosim.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(["--output-dir", sys.argv[2], "--quiet", "run", sys.argv[1]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = Path(es.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        base = get_preset("rn-highenergy").configs[0]
+        faults = []
+        for t_final in (1.0, 2.0):  # 200 and 400 steps of n = 20001
+            cfg = replace(base, grid=Grid(-50.0, 50.0, 0.005, 0.005), t_final=t_final,
+                          snapshot_stride=4000)
+            path = self.write(tmp_path, serialize_config(cfg), f"t{t_final:g}.ini")
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path), str(tmp_path / f"out{t_final:g}")],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            faults.append(int(proc.stdout))
+        # about 10 per step where each step's arrays come back as new pages
+        assert (faults[1] - faults[0]) / 200 < 1.0
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])

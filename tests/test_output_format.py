@@ -276,8 +276,7 @@ class TestWriterProcess:
     def test_finish_raises_the_writer_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
         x = np.linspace(-1.0, 1.0, 11)
-        with cli.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            writer = _SnapshotWriter(tmp_path, x, pool)
+        with _SnapshotWriter(tmp_path, x, background=True) as writer:
             writer(FieldState(u=x + 0j, v=x + 0j, t=0.0))  # fails in the writer process
             with pytest.raises(OSError, match="snap_000000.csv"):
                 writer.finish(tmp_path)
@@ -289,8 +288,7 @@ class TestWriterProcess:
         u = np.exp(1j * x) * (1.0 + x**2)
         expected = tmp_path / "expected.csv"
         _write_snapshot(expected, x, u)
-        with cli.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            writer = _SnapshotWriter(tmp_path / "out", x, pool)
+        with _SnapshotWriter(tmp_path / "out", x, background=True) as writer:
             for k in range(3):
                 state = FieldState(u=u.copy(), v=u, t=float(k))
                 writer(state)
@@ -299,6 +297,23 @@ class TestWriterProcess:
         for k in range(3):
             written = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
             assert written.read_bytes() == expected.read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_grid_reaches_the_writer_once(self, tmp_path):
+        """Each hand-off carries u alone; the writer process has x from its start."""
+        x = np.linspace(-1.0, 1.0, 3001)
+        u = np.exp(1j * x)
+        with _SnapshotWriter(tmp_path, x, background=True) as writer:
+            sent, submit = [], writer.pool.submit
+            writer.pool.submit = lambda fn, *args: sent.append(args) or submit(fn, *args)
+            for k in range(3):
+                writer(FieldState(u=u, v=u, t=float(k)))
+            writer.finish(tmp_path)
+        handed = [[a.nbytes for a in args if isinstance(a, np.ndarray)] for args in sent]
+        assert handed == [[u.nbytes]] * 3
+        expected = tmp_path / "expected.csv"
+        _write_snapshot(expected, x, u)
+        assert (tmp_path / "snapshots" / "snap_000002.csv").read_bytes() == expected.read_bytes()
 
     def test_numerical_failure_leaves_no_writer(self, tmp_path, monkeypatch, capsys):
         original = Stepper.step
@@ -323,11 +338,13 @@ class TestWriterProcess:
 
         Forking a multi-threaded process is deprecated (and warned about from
         Python 3.12 on).  This checks only the executor's threads: BLAS pools
-        are kept to one thread here.  With the default BLAS settings, the
-        OpenBLAS builds of numpy and scipy each start a pool thread at import
-        (three OS threads on two CPUs), and those are alive at the fork: idle,
-        and the writer makes no BLAS call, but Python 3.12+ warns about them
-        (a DeprecationWarning, hidden unless enabled with ``-W``).
+        are kept to one thread here.  With the default BLAS settings, numpy's
+        bundled OpenBLAS, which also serves the stepper's LAPACK calls, starts
+        a pool thread at import (two OS threads on two CPUs; scipy's OpenBLAS
+        adds one more where the stepper falls back to scipy), and those are
+        alive at the fork: idle, and the writer makes no BLAS call, but Python
+        3.12+ warns about them (a DeprecationWarning, hidden unless enabled
+        with ``-W``).
         """
         script = """
 import os, sys, threading

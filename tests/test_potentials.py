@@ -225,29 +225,49 @@ def test_field_params_validation():
         FieldParams(q=1.0, m=0.1, l=-1)
 
 
-def _loads_scipy_optimize(code: str) -> bool:
-    """Whether a fresh interpreter that runs ``code`` has imported scipy.optimize."""
+def _scipy_modules(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has imported after running ``code``."""
     src = str(Path(ergosim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    code += "\nimport sys; print('scipy.optimize' in sys.modules)"
+    code += (
+        "\nimport sys"
+        "\nprint(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.split()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs a quarter second at start-up; the CLI must not pay for it
-    assert not _loads_scipy_optimize("import ergosim.cli")
+    assert "scipy.optimize" not in _scipy_modules("import ergosim.cli")
 
 
 def test_ergosphere_boundary_leaves_scipy_optimize_unloaded():
-    assert not _loads_scipy_optimize(
+    assert "scipy.optimize" not in _scipy_modules(
         "import numpy as np\n"
         "from ergosim.potentials import effective_ergosphere_boundary, rn_potentials\n"
         "from ergosim.presets import REFERENCE_FIELD, REFERENCE_HOLE\n"
         "pp = rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, np.arange(-100.0, 100.0, 0.04))\n"
         "assert len(effective_ergosphere_boundary(pp)) == 1"
     )
+
+
+def test_black_hole_step_loads_no_scipy():
+    """A run's path, from the CLI import to a step, uses numpy's own LAPACK."""
+    from ergosim import solver
+
+    if solver._LAPACK.name != "ctypes":
+        pytest.skip("this numpy bundles no OpenBLAS; LAPACK comes from scipy")
+    assert _scipy_modules(
+        "import ergosim.cli\n"
+        "from ergosim.driver import prepare\n"
+        "from ergosim.presets import get_preset\n"
+        "from ergosim.solver import Stepper\n"
+        "setup = prepare(get_preset('rn-flare').configs[0])\n"
+        "state = Stepper(setup.grid, setup.pp, setup.bc).step(setup.state)\n"
+        "assert state.t > 0.0"
+    ) == []

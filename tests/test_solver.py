@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zgttrs
 from scipy.special import erf
 
+from ergosim import solver
 from ergosim.potentials import ToyParams, rn_potentials, toy_potentials, uniform_potentials
 from ergosim.presets import REFERENCE_FIELD, REFERENCE_HOLE
 from ergosim.solver import BoundaryMode, FieldState, Grid, Stepper
@@ -275,6 +278,9 @@ def _kernel_case(name):
     return g, uniform_potentials(0.7, 0.3, g.x), BoundaryMode.DIRICHLET, False
 
 
+_KERNEL_CASES = ["rn-transparent-split", "toy-transparent-unsplit", "dirichlet-uniform"]
+
+
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     return make_state(
@@ -287,9 +293,7 @@ def _random_state(n, seed):
 class TestKernel:
     """The allocation-free step against a kept copy of the allocating one."""
 
-    @pytest.mark.parametrize(
-        "case", ["rn-transparent-split", "toy-transparent-unsplit", "dirichlet-uniform"]
-    )
+    @pytest.mark.parametrize("case", _KERNEL_CASES)
     def test_bit_identical_to_reference(self, case):
         g, pp, bc, splitting = _kernel_case(case)
         stepper = Stepper(g, pp, bc)
@@ -329,6 +333,55 @@ class TestKernel:
         for a in arrays:
             for b in scratch:
                 assert not np.shares_memory(a, b)
+
+
+class TestLapackBinding:
+    """numpy's bundled OpenBLAS through ctypes, and scipy's wrappers as fallback."""
+
+    def test_bundled_openblas_is_the_binding_in_use(self):
+        numpy_libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+        if not any(numpy_libs.glob("libscipy_openblas64_*.so")):
+            pytest.skip("this numpy bundles no libscipy_openblas64_*.so")
+        assert solver._LAPACK.name == "ctypes"
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES)
+    def test_both_bindings_give_the_same_factors_and_solves(self, case, tmp_path, monkeypatch):
+        if solver._LAPACK.name != "ctypes":
+            pytest.skip("only the scipy binding is available")
+        g, pp, bc, _ = _kernel_case(case)
+        lus = [Stepper(g, pp, bc)._lu]
+        fallback = solver._lapack(tmp_path)  # no library there
+        assert fallback.name == "scipy"
+        monkeypatch.setattr(solver, "_LAPACK", fallback)
+        lus.append(Stepper(g, pp, bc)._lu)
+        ctypes_fact, scipy_fact = (lu._fact for lu in lus)
+        assert ctypes_fact[4].dtype == np.int64
+        for ours, theirs in zip(ctypes_fact, scipy_fact):  # ipiv compared as integers
+            assert np.array_equal(ours, theirs)
+        rhs = _random_state(g.n, seed=11).u
+        ctypes_x, scipy_x = (lu.solve(rhs.copy()) for lu in lus)
+        assert np.array_equal(ctypes_x, scipy_x)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros(n, dtype=np.complex64),  # not complex128
+            lambda n: np.zeros(n),
+            lambda n: np.zeros(n - 1, dtype=complex),  # not of length n
+            lambda n: np.zeros((n, 1), dtype=complex),  # not 1-D
+            lambda n: np.zeros(2 * n, dtype=complex)[::2],  # not C-contiguous
+            lambda n: np.frombuffer(bytes(16 * n), dtype=complex),  # read-only
+        ],
+        ids=["complex64", "float64", "short", "2-D", "strided", "read-only"],
+    )
+    def test_solve_refuses_what_lapack_would_overrun(self, make):
+        g, pp, bc, _ = _kernel_case("dirichlet-uniform")
+        lu = Stepper(g, pp, bc)._lu
+        rhs = make(g.n)
+        before = rhs.copy()
+        with pytest.raises(ValueError, match="right-hand side"):
+            lu.solve(rhs)
+        assert np.array_equal(rhs, before)
 
 
 class TestConservation:
