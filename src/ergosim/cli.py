@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import multiprocessing
 import os
 import sys
@@ -64,8 +63,6 @@ _MATRIX_MAX_COLS = 2000
 _BLOCK_VALUES = 16384
 # Snapshots handed to a background writer and not yet on disk; bounds memory.
 _SNAPSHOTS_IN_FLIGHT = 2
-# mallopt parameters of glibc's <malloc.h>
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -101,27 +98,6 @@ def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray) -> None:
     # scalar abs(complex) by one ulp, and the snapshot bytes would change.
     table = np.column_stack((x, u.real, u.imag, np.hypot(u.real, u.imag)))
     _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
-
-
-def _reuse_freed_arrays() -> None:
-    """Let glibc's malloc give a freed grid-sized array to the next allocation.
-
-    Each step frees two grid-sized arrays and allocates two more.  glibc maps
-    blocks above an adaptive threshold (128 KB at start) from the kernel and
-    trims freed memory at the top of its heap, so without this the steps of
-    a run at n = 20001 fault in about ten new pages each.  These are the
-    largest values glibc's adaptive rule reaches on 64-bit, fixed from the
-    start.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # a libc without mallopt
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _spare_cpu(runs_in_flight: int) -> bool:
@@ -260,7 +236,6 @@ def _execute(
     (itself included); it decides whether snapshots go to a writer process.
     """
     t0 = time.perf_counter()
-    _reuse_freed_arrays()  # here, so that pool workers of any start method get it
     with _SnapshotWriter(outdir, cfg.grid.x, _spare_cpu(runs_in_flight)) as writer:
         result = run(cfg, snapshot_callback=writer)
         writer.finish(outdir)

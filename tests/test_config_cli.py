@@ -517,8 +517,9 @@ print(len(forks))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
     def test_steps_reuse_freed_memory(self, tmp_path):
-        """Each step frees two grid-sized arrays and allocates two; malloc must
-        hand the freed memory back rather than new pages that fault in."""
+        """The energy sampler frees and allocates several grid-sized temporaries
+        per sample; malloc must hand the freed memory back rather than new pages
+        that fault in (about 250 per sample at n = 20001)."""
         script = """
 import resource, sys
 from ergosim.cli import main
@@ -541,7 +542,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             )
             assert proc.returncode == 0, proc.stderr
             faults.append(int(proc.stdout))
-        # about 10 per step where each step's arrays come back as new pages
+        # about 10 per step where the energy samples' temporaries come back as new pages
         assert (faults[1] - faults[0]) / 200 < 1.0
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import ergosim as es
 from ergosim import initial_data
@@ -215,3 +220,37 @@ def test_rn_run_skips_zone_gain():
     res = run(cfg)
     assert res.zone_gain is None
     assert res.flux_denominator == pytest.approx(res.initial_energy.total, rel=1e-14)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
+def test_library_run_reuses_freed_memory():
+    """``driver.run`` sets glibc's malloc thresholds itself, so a caller that
+    never imports the command line does not fault in the energy sampler's
+    grid-sized temporaries (about 260 pages per sample at n = 20001) and the
+    step's two fresh arrays as new pages."""
+    script = """
+import resource, sys
+from dataclasses import replace
+from ergosim.driver import run
+from ergosim.presets import get_preset
+from ergosim.solver import Grid
+cfg = replace(get_preset("rn-highenergy").configs[0], grid=Grid(-50.0, 50.0, 0.005, 0.005),
+              t_final=float(sys.argv[1]), snapshot_stride=4000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run(cfg)
+assert "ergosim.cli" not in sys.modules
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = Path(es.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    faults = []
+    for t_final in ("1", "2"):  # 200 and 400 steps of n = 20001
+        proc = subprocess.run(
+            [sys.executable, "-c", script, t_final],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults.append(int(proc.stdout))
+    # about 10 per step without the setting
+    assert (faults[1] - faults[0]) / 200 < 1.0
