@@ -56,6 +56,7 @@ from .config import (
 from .driver import RunResult, prepare, run
 from .initial_data import SupportError
 from .presets import get_preset, preset_names
+from .solver import Grid
 
 _MATRIX_MAX_COLS = 2000
 # Values formatted per call of _write_table: 4096 rows of a snapshot, and a
@@ -92,11 +93,11 @@ def _write_table(
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_snapshot(path: Path, x: np.ndarray, u: np.ndarray) -> None:
+def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
     """One snapshot file: columns x, Re u, Im u, |u|."""
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the
     # scalar abs(complex) by one ulp, and the snapshot bytes would change.
-    table = np.column_stack((x, u.real, u.imag, np.hypot(u.real, u.imag)))
+    table = np.column_stack((grid.x, u.real, u.imag, np.hypot(u.real, u.imag)))
     _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
 
 
@@ -112,20 +113,6 @@ def _spare_cpu(runs_in_flight: int) -> bool:
     return cpus >= 2 * runs_in_flight
 
 
-# In a snapshot writer process: the grid x of its run, inherited at the fork,
-# so that each snapshot sends only u.
-_writer_x: np.ndarray | None = None
-
-
-def _hold_grid(x: np.ndarray) -> None:
-    global _writer_x
-    _writer_x = x
-
-
-def _write_held_grid_snapshot(path: Path, u: np.ndarray) -> None:
-    _write_snapshot(path, _writer_x, u)
-
-
 class _SnapshotWriter:
     """Streams snapshots to disk and keeps a strided |Re u| matrix in memory.
 
@@ -135,21 +122,20 @@ class _SnapshotWriter:
     writer process.
     """
 
-    def __init__(self, outdir: Path, x: np.ndarray, background: bool = False):
+    def __init__(self, outdir: Path, grid: Grid, background: bool = False):
         self.dir = outdir / "snapshots"
-        self.x = x
-        self.stride = max(1, int(np.ceil(x.size / _MATRIX_MAX_COLS)))
+        self.grid = grid
+        self.stride = max(1, int(np.ceil(grid.n / _MATRIX_MAX_COLS)))
         self.index: list[tuple[str, str]] = []
         self.matrix_rows: list[np.ndarray] = []
         self.pending: deque[Future] = deque()
         self.pool = None
         if background:
-            # "fork": the writer starts without importing numpy again and
-            # inherits x; it is forked at the first submit, before the
-            # executor starts any thread of its own.
+            # "fork": the writer starts without importing numpy again; it is
+            # forked at the first submit, before the executor starts any
+            # thread of its own.
             self.pool = ProcessPoolExecutor(
-                max_workers=1, mp_context=multiprocessing.get_context("fork"),
-                initializer=_hold_grid, initargs=(x,),
+                max_workers=1, mp_context=multiprocessing.get_context("fork")
             )
 
     def __enter__(self) -> _SnapshotWriter:
@@ -165,22 +151,23 @@ class _SnapshotWriter:
         name = f"snap_{len(self.index):06d}.csv"
         u = state.u
         if self.pool is None:
-            _write_snapshot(self.dir / name, self.x, u)
+            _write_snapshot(self.dir / name, self.grid, u)
         else:
             if len(self.pending) == _SNAPSHOTS_IN_FLIGHT:
                 self.pending.popleft().result()
             # A copy: the executor pickles u later, in its feeder thread.
             self.pending.append(
-                self.pool.submit(_write_held_grid_snapshot, self.dir / name, u.copy())
+                self.pool.submit(_write_snapshot, self.dir / name, self.grid, u.copy())
             )
         self.index.append((_fmt(state.t), name))
         self.matrix_rows.append(np.abs(u.real[:: self.stride]))
 
-    def finish(self, outdir: Path) -> None:
+    def finish(self) -> None:
         while self.pending:
             self.pending.popleft().result()
         _write_csv(self.dir / "index.csv", ["t", "filename"], self.index)
-        _write_table(outdir / "amplitude.csv", None, np.array(self.matrix_rows), newline="\n")
+        amplitude = np.array(self.matrix_rows)
+        _write_table(self.dir.parent / "amplitude.csv", None, amplitude, newline="\n")
 
 
 def _write_run(result: RunResult, outdir: Path) -> None:
@@ -236,9 +223,9 @@ def _execute(
     (itself included); it decides whether snapshots go to a writer process.
     """
     t0 = time.perf_counter()
-    with _SnapshotWriter(outdir, cfg.grid.x, _spare_cpu(runs_in_flight)) as writer:
+    with _SnapshotWriter(outdir, cfg.grid, _spare_cpu(runs_in_flight)) as writer:
         result = run(cfg, snapshot_callback=writer)
-        writer.finish(outdir)
+        writer.finish()
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
     if result.flux_series:

@@ -182,7 +182,11 @@ class SweepSpec:
             raise ConfigError(f"sweep.axis: {self.axis} sweeps need model.kind = {model}")
         if attr is None:
             return replace(base, label=label, probes=(value,))
-        return replace(base, label=label, **{attr: replace(getattr(base, attr), **{key: value})})
+        try:
+            part = replace(getattr(base, attr), **{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {self.axis} = {_fmt(value)}: {exc}") from exc
+        return replace(base, label=label, **{attr: part})
 
 
 def _fmt(x: float) -> str:

@@ -159,7 +159,9 @@ class FluxProbe:
         x = pp.x
         self.index = _probe_index(x_probe, x)
         self.x = float(x[self.index])
-        self.sign = {"right": -1.0, "left": 1.0}[outgoing]
+        if outgoing not in ("right", "left"):
+            raise ValueError(f'outgoing must be "right" or "left", got {outgoing!r}')
+        self.sign = -1.0 if outgoing == "right" else 1.0
         self._pp = pp
         self._correction = pp.flux_correction(self.index)
         self._h = float(x[1] - x[0])

@@ -35,7 +35,6 @@ class RunResult:
     """Everything a run produces, restricted to the configured window."""
 
     config: SimConfig
-    x: np.ndarray = field(repr=False)
     flux_series: dict[float, diag.GainSeries] = field(repr=False)
     flux_denominator: float = 0.0
     initial_energy: diag.EnergyBreakdown | None = None
@@ -201,7 +200,6 @@ def run(
         zone_gain = np.asarray([e.zone for e in energies]) / zone0
     return RunResult(
         config=cfg,
-        x=cfg.grid.x,
         flux_series={p.x: p.series(setup.flux_denominator) for p in probes},
         flux_denominator=setup.flux_denominator,
         initial_energy=energies[0],

@@ -105,6 +105,11 @@ class PotentialPair:
 
     def total_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """Evaluate P - V² at arbitrary positions (not just grid nodes)."""
+        if self.uniform is None:
+            raise ValueError(
+                "this potential pair holds samples only, no continuous profile; build it "
+                "with uniform_potentials, toy_potentials or rn_potentials"
+            )
         v0, p0 = self.uniform
         return np.full_like(np.asarray(x, dtype=float), p0 - v0 * v0)
 

@@ -468,6 +468,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: run.probes: probe 40.0 outside")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "base, axis, message",
+        [
+            (TOY_TEXT, "L", "error: sweep.values: L = -1: smoothing width must be non-negative"),
+            (RN_TEXT, "m", "error: sweep.values: m = -1: field mass must be non-negative"),
+        ],
+        ids=["toy-L", "rn-m"],
+    )
+    def test_sweep_value_out_of_range_exit_code(self, tmp_path, capsys, base, axis, message):
+        sweep = self.write(tmp_path, base + f"\n[sweep]\naxis = {axis}\nvalues = 1, -1\n")
+        out = tmp_path / "sw"
+        assert main(["--output-dir", str(out), "--quiet", "sweep", str(sweep)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     # (7.5 + 30) / 0.04 = 937.5: the probe snaps to node 938, x = 7.520000000000003
     SNAP_TEXT = (
         TOY_TEXT.replace("h = 0.1", "h = 0.04").replace("dt = 0.1", "dt = 0.04")

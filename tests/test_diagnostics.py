@@ -118,6 +118,11 @@ class TestFlux:
         with pytest.raises(ValueError):
             FluxProbe(-5.0, pp)  # boundary node: no centered difference
 
+    def test_unknown_orientation_rejected(self):
+        pp = uniform_potentials(0.0, 0.0, np.linspace(-5.0, 5.0, 101))
+        with pytest.raises(ValueError, match='outgoing must be "right" or "left", got \'up\''):
+            FluxProbe(2.0, pp, outgoing="up")
+
     def test_left_probe_orientation(self):
         probe_r, e0 = self.run_packet("right", probe_x=6.0)
         g = Grid(x_min=-15.0, x_max=15.0, h=0.02, dt=0.02)

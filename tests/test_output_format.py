@@ -32,8 +32,9 @@ import pytest
 
 from ergosim import cli
 from ergosim.cli import _SnapshotWriter, _write_snapshot, _write_table, main
-from ergosim.config import load_config
-from ergosim.solver import FieldState, Stepper
+from ergosim.config import _fmt, load_config
+from ergosim.presets import get_preset
+from ergosim.solver import FieldState, Grid, Stepper
 
 SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, 1e17, -1e17, np.inf, -np.inf, np.nan]
@@ -83,19 +84,18 @@ class TestAgainstPerCellWriter:
     def test_snapshots_and_amplitude(self, tmp_path):
         u0 = _adversarial_complex(4000)
         n = u0.size  # > 2000, so the amplitude matrix is column-strided
-        x = -1.0 + 0.04 * np.arange(n)
-        x[: SPECIAL.size] = SPECIAL
-        writer = _SnapshotWriter(tmp_path / "new", x)
+        grid = Grid(x_min=-1.0, x_max=-1.0 + 0.04 * (n - 1), h=0.04, dt=0.04)
+        writer = _SnapshotWriter(tmp_path / "new", grid)
         snaps = [u0, u0[::-1].copy(), -u0]
         for k, u in enumerate(snaps):
             writer(FieldState(u=u, v=u, t=0.5 * k))
-        writer.finish(tmp_path / "new")
+        writer.finish()
 
         old = tmp_path / "old"
         old.mkdir()
         for k, u in enumerate(snaps):
             name = f"snap_{k:06d}.csv"
-            _old_snapshot(old / name, x, u)
+            _old_snapshot(old / name, grid.x, u)
             new_bytes = (tmp_path / "new" / "snapshots" / name).read_bytes()
             assert new_bytes == (old / name).read_bytes(), name
         _old_amplitude(old / "amplitude.csv", [np.abs(u.real[:: writer.stride]) for u in snaps])
@@ -189,14 +189,14 @@ def _files(root: Path) -> dict[str, bytes]:
 # can pickle them by reference.
 
 
-def _failing_write_snapshot(path, x, u):
+def _failing_write_snapshot(path, grid, u):
     raise OSError("disk full while writing " + Path(path).name)
 
 
-def _pid_logging_write_snapshot(path, x, u):
+def _pid_logging_write_snapshot(path, grid, u):
     """Write the snapshot, then log "<pid> <parent pid>" of the writing process
     in <run dir>.pids."""
-    _write_snapshot(path, x, u)
+    _write_snapshot(path, grid, u)
     with Path(path).parents[1].with_suffix(".pids").open("a", encoding="utf-8") as fh:
         fh.write(f"{os.getpid()} {os.getppid()}\n")
 
@@ -216,21 +216,34 @@ class TestWriterProcess:
         signal.signal(signal.SIGALRM, previous)
 
     def test_background_writes_the_inline_bytes(self, tmp_path, monkeypatch):
-        cfg = load_config(_golden(tmp_path))
+        """On the golden run, and on a reference-mode run, which steps on an
+        enlarged grid while its snapshots hold the configured one."""
+        (reference,) = (c for c in get_preset("free-wave-bc").configs if c.label == "reference")
+        configs = {
+            "golden": load_config(_golden(tmp_path)),
+            "reference": replace(reference, t_final=2.0, snapshot_stride=10),
+        }
         monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
-        pids = {}
-        for background in (False, True):
-            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: background)
-            cli._execute(cfg, tmp_path / str(background))
-            pid_log = tmp_path / f"{background}.pids"
-            pids[background] = set(pid_log.read_text(encoding="utf-8").splitlines())
         me = str(os.getpid())
-        assert pids[False] == {f"{me} {os.getppid()}"}
-        (writer,) = pids[True]
-        assert writer.split()[0] != me and writer.split()[1] == me
-        inline, background = _files(tmp_path / "False"), _files(tmp_path / "True")
-        assert len(inline) == len(GOLDEN_SHA256)
-        assert inline == background
+        for source, cfg in configs.items():
+            pids = {}
+            for background in (False, True):
+                monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: background)
+                cli._execute(cfg, tmp_path / source / str(background))
+                pid_log = tmp_path / source / f"{background}.pids"
+                pids[background] = set(pid_log.read_text(encoding="utf-8").splitlines())
+            assert pids[False] == {f"{me} {os.getppid()}"}
+            (writer,) = pids[True]
+            assert writer.split()[0] != me and writer.split()[1] == me
+            inline = _files(tmp_path / source / "False")
+            snapshots = [name for name in inline if name.startswith("snapshots/snap_")]
+            # one per stride, and one at the last step
+            assert len(snapshots) == -(-cfg.n_steps // cfg.snapshot_stride) + 1, source
+            x_column = [_fmt(x) for x in cfg.grid.x]
+            for name in snapshots:
+                rows = inline[name].decode().splitlines()[1:]
+                assert [row.split(",", 1)[0] for row in rows] == x_column, (source, name)
+            assert inline == _files(tmp_path / source / "True"), source
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
@@ -275,44 +288,47 @@ class TestWriterProcess:
 
     def test_finish_raises_the_writer_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
-        x = np.linspace(-1.0, 1.0, 11)
-        with _SnapshotWriter(tmp_path, x, background=True) as writer:
-            writer(FieldState(u=x + 0j, v=x + 0j, t=0.0))  # fails in the writer process
+        grid = Grid(x_min=-1.0, x_max=1.0, h=0.2, dt=0.2)
+        u = grid.x + 0j
+        with _SnapshotWriter(tmp_path, grid, background=True) as writer:
+            writer(FieldState(u=u, v=u, t=0.0))  # fails in the writer process
             with pytest.raises(OSError, match="snap_000000.csv"):
-                writer.finish(tmp_path)
+                writer.finish()
         assert not (tmp_path / "snapshots" / "index.csv").exists()
         assert not (tmp_path / "amplitude.csv").exists()
 
     def test_writer_owns_what_it_is_sent(self, tmp_path):
-        x = np.linspace(-1.0, 1.0, 3001)
-        u = np.exp(1j * x) * (1.0 + x**2)
+        grid = Grid(x_min=-1.0, x_max=1.0, h=1 / 1500, dt=1 / 1500)
+        u = np.exp(1j * grid.x) * (1.0 + grid.x**2)
         expected = tmp_path / "expected.csv"
-        _write_snapshot(expected, x, u)
-        with _SnapshotWriter(tmp_path / "out", x, background=True) as writer:
+        _write_snapshot(expected, grid, u)
+        with _SnapshotWriter(tmp_path / "out", grid, background=True) as writer:
             for k in range(3):
                 state = FieldState(u=u.copy(), v=u, t=float(k))
                 writer(state)
                 state.u[:] = np.nan  # a stepper that reuses its arrays
-            writer.finish(tmp_path / "out")
+            writer.finish()
         for k in range(3):
             written = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
             assert written.read_bytes() == expected.read_bytes()
         assert multiprocessing.active_children() == []
 
     def test_grid_reaches_the_writer_once(self, tmp_path):
-        """Each hand-off carries u alone; the writer process has x from its start."""
-        x = np.linspace(-1.0, 1.0, 3001)
-        u = np.exp(1j * x)
-        with _SnapshotWriter(tmp_path, x, background=True) as writer:
+        """The x array is never sent: each hand-off carries u and the run's
+        ``Grid``, from which the writer process computes x."""
+        grid = Grid(x_min=-1.0, x_max=1.0, h=1 / 1500, dt=1 / 1500)
+        u = np.exp(1j * grid.x)
+        with _SnapshotWriter(tmp_path, grid, background=True) as writer:
             sent, submit = [], writer.pool.submit
             writer.pool.submit = lambda fn, *args: sent.append(args) or submit(fn, *args)
             for k in range(3):
                 writer(FieldState(u=u, v=u, t=float(k)))
-            writer.finish(tmp_path)
+            writer.finish()
         handed = [[a.nbytes for a in args if isinstance(a, np.ndarray)] for args in sent]
         assert handed == [[u.nbytes]] * 3
+        assert all(grid in args for args in sent)
         expected = tmp_path / "expected.csv"
-        _write_snapshot(expected, x, u)
+        _write_snapshot(expected, grid, u)
         assert (tmp_path / "snapshots" / "snap_000002.csv").read_bytes() == expected.read_bytes()
 
     def test_numerical_failure_leaves_no_writer(self, tmp_path, monkeypatch, capsys):

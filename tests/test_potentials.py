@@ -149,6 +149,14 @@ class TestErgosphereBoundary:
         pp = uniform_potentials(1.0, 0.2, grid(-5, 5))
         assert effective_ergosphere_boundary(pp) == []
 
+    def test_samples_alone_have_no_profile_to_refine(self):
+        x = grid(-5, 5)
+        pp = PotentialPair(x=x, v=np.where(x < 0.0, 1.0, 0.0), p=np.full(x.size, 0.2))
+        assert (pp.total < 0.0).any() and (pp.total >= 0.0).any()
+        constructors = "uniform_potentials, toy_potentials or rn_potentials"
+        with pytest.raises(ValueError, match=f"no continuous profile.*{constructors}"):
+            effective_ergosphere_boundary(pp)
+
     @pytest.mark.parametrize("build, root", [
         # roots of scipy.optimize.brentq(xtol=1e-8), which the finder used before
         # it bisected every sign change
