@@ -201,8 +201,8 @@ def _write_run(result: RunResult, outdir: Path) -> None:
 
     lines = [
         f"label = {result.config.label}",
-        f"steps = {result.steps}",
-        f"initial_energy = {_fmt(result.initial_energy.total)}",
+        f"steps = {result.config.n_steps}",
+        f"initial_energy = {_fmt(result.energies[0].total)}",
         f"flux_denominator = {_fmt(result.flux_denominator)}",
     ]
     for p in probes:

@@ -14,12 +14,13 @@ The on-disk format is flat key = value text with one section per concern:
 
 A sweep file adds
     [sweep]     axis = omega | L | m | q | probe ; values = comma list
-on top of a complete base configuration.
+on top of a complete base configuration; ``parse_sweep`` reads it and
+``parse_config`` refuses it.
 
 The keys of a section are the fields of the dataclass that holds it (``Grid``,
 ``DataSpec``, ``ToyParams``, ...; [run] and [sweep] are the plain fields of
 ``SimConfig`` and ``SweepSpec``).  A key whose field has a default may be left
-out, except toy.smoothing; a key that is not a field is refused.
+out; a key that is not a field is refused.
 
 Serialization prints floats with 17 significant digits, so
 parse(serialize(cfg)) reproduces cfg exactly.
@@ -216,8 +217,6 @@ _CODECS = {
 # [run] holds the plain fields of SimConfig but the model, [sweep] those of SweepSpec.
 _RUN_KEYS = tuple(f for f in fields(SimConfig) if f.type in _CODECS and f.name != "model")
 _SWEEP_KEYS = tuple(f for f in fields(SweepSpec) if f.type in _CODECS)
-# Files must give these keys although their fields have defaults: L = 1 is no neutral choice.
-_REQUIRED = {"toy.smoothing"}
 
 
 def _ini(text: str, what: str) -> configparser.ConfigParser:
@@ -243,7 +242,7 @@ def _read(cp: configparser.ConfigParser, section: str, keys) -> dict:
     for f in keys:
         name = f"{section}.{f.name}"
         if f.name not in given:
-            if f.default is MISSING or name in _REQUIRED:
+            if f.default is MISSING:
                 raise ConfigError(f"{name}: missing required key")
             continue
         raw = given[f.name].strip()
@@ -299,8 +298,11 @@ def _text(cp: configparser.ConfigParser) -> str:
 
 
 def parse_config(text: str) -> SimConfig:
-    """Parse INI text into a validated :class:`SimConfig`."""
-    return _config(_ini(text, "configuration"))
+    """Parse INI text into a validated :class:`SimConfig`; a sweep file is refused."""
+    cp = _ini(text, "configuration")
+    if cp.has_section("sweep"):
+        raise ConfigError("sweep: a sweep file, not one configuration; run it with `ergosim sweep`")
+    return _config(cp)
 
 
 def serialize_config(cfg: SimConfig) -> str:

@@ -37,13 +37,11 @@ class RunResult:
     config: SimConfig
     flux_series: dict[float, diag.GainSeries] = field(repr=False)
     flux_denominator: float = 0.0
-    initial_energy: diag.EnergyBreakdown | None = None
     energy_times: np.ndarray = field(default=None, repr=False)
     energies: list[diag.EnergyBreakdown] = field(default_factory=list, repr=False)
     zone_gain: np.ndarray | None = field(default=None, repr=False)
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list, repr=False)
     final_state: FieldState | None = None
-    steps: int = 0
 
     def gain_series(self, probe_x: float) -> diag.GainSeries:
         """The series of the probe on the node ``probe_x`` snaps to, by the rule
@@ -202,11 +200,9 @@ def run(
         config=cfg,
         flux_series={p.x: p.series(setup.flux_denominator) for p in probes},
         flux_denominator=setup.flux_denominator,
-        initial_energy=energies[0],
         energy_times=np.asarray(energy_times),
         energies=energies,
         zone_gain=zone_gain,
         snapshots=snapshots,
         final_state=_restrict(state, window),
-        steps=n_steps,
     )

@@ -92,7 +92,6 @@ class GridGeometry:
     a double, and F is proportional to it.
     """
 
-    x: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
@@ -227,4 +226,4 @@ def sample_grid(bh: BlackHole, x: np.ndarray) -> GridGeometry:
     r = bh.r_plus + delta
     f = delta * (delta + (bh.r_plus - bh.r_minus)) / (r * r)
     f_prime = 2.0 * (bh.mass * r - bh.charge**2) / r**3
-    return GridGeometry(x=x, r=r, delta=delta, f=f, f_prime=f_prime, clamped=clamped)
+    return GridGeometry(r=r, delta=delta, f=f, f_prime=f_prime, clamped=clamped)

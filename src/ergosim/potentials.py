@@ -45,11 +45,12 @@ __all__ = [
 class ToyParams:
     """Smoothed-step toy potentials: left asymptote alpha, right asymptote beta,
     transition window [-smoothing, 0].  smoothing = 0 gives exact steps, with the
-    right-continuous convention V(0) = 0."""
+    right-continuous convention V(0) = 0.  ``smoothing`` has no default (no width
+    is a neutral choice) and is passed by keyword."""
 
     alpha: float
     beta: float = 0.0
-    smoothing: float = 1.0
+    smoothing: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:

@@ -297,9 +297,19 @@ class TestValidationMessages:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_toy_smoothing_stays_required(self):
-        # ToyParams defaults smoothing to 1, but a file that omits L must not run at L = 1
+        # no width is a neutral choice: neither a file nor ToyParams defaults it
         with pytest.raises(ConfigError, match="toy.smoothing: missing required key"):
             parse_config(TOY_TEXT.replace("smoothing = 1", ""))
+
+    def test_toy_params_smoothing_has_no_default(self):
+        with pytest.raises(TypeError, match="smoothing"):
+            es.ToyParams(alpha=1.0)
+
+    def test_sweep_section_is_refused_as_one_configuration(self):
+        text = TOY_TEXT + "\n[sweep]\naxis = L\nvalues = 0.5, 1\n"
+        with pytest.raises(ConfigError, match="^sweep: .*`ergosim sweep`"):
+            parse_config(text)
+        assert parse_sweep(text).base == parse_config(TOY_TEXT)
 
     def test_optional_keys_take_the_dataclass_defaults(self):
         cfg = parse_config(RN_TEXT.replace("r0 = 0.25", "").replace("m = 0.1\nl = 0", ""))
@@ -442,6 +452,15 @@ class TestCli:
         assert lines[0].startswith("axis,value,label,gain_inf,stabilized")
         assert len(lines) == 3
         assert (out / "toy-demo-L-0.5" / "gain.csv").exists()
+
+    def test_run_refuses_a_sweep_file(self, tmp_path, capsys):
+        sweep = self.write(tmp_path, TOY_TEXT + "\n[sweep]\naxis = L\nvalues = 0.5, 1\n")
+        out = tmp_path / "o"
+        assert main(["--output-dir", str(out), "run", str(sweep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sweep: ") and "`ergosim sweep`" in captured.err
+        assert not out.exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, TOY_TEXT.replace("beta = 0.2", "bta = 0.3"))

@@ -287,7 +287,7 @@ class TestCachedGradient:
         exact = uniform_potentials(0.0, 0.0, np.arange(-9.0, 9.75, 0.75))
         grid = Grid(x_min=-500.0, x_max=500.0, h=0.04, dt=0.04).x
         assert exact._gradient_stencil[0] is None
-        assert toy_potentials(ToyParams(alpha=1.0), grid)._gradient_stencil[0] is not None
+        assert toy_potentials(ToyParams(alpha=1.0, smoothing=1.0), grid)._gradient_stencil[0] is not None
 
     @pytest.mark.parametrize("window", [None, (-3.0, 2.5)])
     def test_energy_total_equals_old_function(self, pp, window):

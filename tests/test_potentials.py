@@ -69,9 +69,9 @@ class TestToy:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ToyParams(alpha=0.0)
+            ToyParams(alpha=0.0, smoothing=1.0)
         with pytest.raises(ValueError):
-            ToyParams(alpha=1.0, beta=-0.1)
+            ToyParams(alpha=1.0, beta=-0.1, smoothing=1.0)
         with pytest.raises(ValueError):
             ToyParams(alpha=1.0, smoothing=-1.0)
 
@@ -221,9 +221,9 @@ class TestThreshold:
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        toy_potentials(ToyParams(alpha=1.0), np.array([0.0, 0.0, 1.0]))
+        toy_potentials(ToyParams(alpha=1.0, smoothing=1.0), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        toy_potentials(ToyParams(alpha=1.0), np.array([1.0]))
+        toy_potentials(ToyParams(alpha=1.0, smoothing=1.0), np.array([1.0]))
 
 
 def test_field_params_validation():
