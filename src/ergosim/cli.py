@@ -199,11 +199,13 @@ def _write_run(result: RunResult, outdir: Path) -> None:
         cols.append(result.zone_gain)
     _write_table(outdir / "energy.csv", header, np.column_stack(cols))
 
+    # every series divides by the same energy; a run without probes has none
+    denominator = result.flux_series[probes[0]].initial_energy if probes else 0.0
     lines = [
         f"label = {result.config.label}",
         f"steps = {result.config.n_steps}",
         f"initial_energy = {_fmt(result.energies[0].total)}",
-        f"flux_denominator = {_fmt(result.flux_denominator)}",
+        f"flux_denominator = {_fmt(denominator)}",
     ]
     for p in probes:
         s = result.flux_series[p].summary()

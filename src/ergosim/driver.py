@@ -36,7 +36,6 @@ class RunResult:
 
     config: SimConfig
     flux_series: dict[float, diag.GainSeries] = field(repr=False)
-    flux_denominator: float = 0.0
     energy_times: np.ndarray = field(default=None, repr=False)
     energies: list[diag.EnergyBreakdown] = field(default_factory=list, repr=False)
     zone_gain: np.ndarray | None = field(default=None, repr=False)
@@ -199,7 +198,6 @@ def run(
     return RunResult(
         config=cfg,
         flux_series={p.x: p.series(setup.flux_denominator) for p in probes},
-        flux_denominator=setup.flux_denominator,
         energy_times=np.asarray(energy_times),
         energies=energies,
         zone_gain=zone_gain,

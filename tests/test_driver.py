@@ -217,7 +217,7 @@ def test_rn_run_skips_zone_gain():
     )
     res = run(cfg)
     assert res.zone_gain is None
-    assert res.flux_denominator == pytest.approx(res.energies[0].total, rel=1e-14)
+    assert res.gain_series(1.0).initial_energy == pytest.approx(res.energies[0].total, rel=1e-14)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")

@@ -6,7 +6,8 @@ byte):
 * the bulk table writer is compared with a copy of the per-cell writer it
   replaced (``csv.writer`` fed ``f"{x:.17g}"`` strings, ``abs`` of each
   ``np.complex128``), on values where formatting or ``abs`` can go wrong;
-* the sha256 of every file of a small toy ``ergosim run`` is pinned.  The
+* the sha256 of every file of a small toy ``ergosim run`` is pinned, once
+  with P ≠ 0 (a split step) and once with P = 0 (the unsplit step).  The
   hashes were recorded with the per-cell writer; they depend on the last bits
   of the arithmetic, so a different LAPACK or numpy build may change them.
 
@@ -147,29 +148,56 @@ smoothing = 1
 """
 
 GOLDEN_SHA256 = {
-    "amplitude.csv": "b3a3eab4010e2ecb85e3c73d0a87b79ff1137541c60f79e9c8c79bc700f78817",
+    "amplitude.csv": "363f4bc3df405c70111a6c661673000c0ea1989fb903e71075aadcb0b76aed78",
     "config.ini": "4a45309fbae435a4536d11e5757b882fe1c3427b775ea2ef13fe2739f7aea594",
-    "energy.csv": "f6f4f1d040f5e3fedcd8b90556d1c96d58d807a2602ab2e1932e5f5c8ca251a2",
-    "gain.csv": "98a0fcfdc439b6326bd727886f5e6c6739213849468d0ec8824a3f2f89886c9a",
+    "energy.csv": "bc3848a80875ff79c0cc231440f342bba783f7bda187394cb5b4209eceec326c",
+    "gain.csv": "01923caf80def43cbd0a08dddce3f581d1e7f9cb8226e58fc5f1e41cd4bde118",
     "snapshots/index.csv": "8f3e04c843d7c1e738442dba782313b837c106a3b4db443027e79420b9ef5929",
     "snapshots/snap_000000.csv": "845fe0f3065066412d80737698abdabf9e28f7dd64c06adf2ba56aece0b5977e",
-    "snapshots/snap_000001.csv": "dc5c54d93b4cf0f5946394a9ed22b947a32f4179e6f0ecaf551b2e2c91124156",
-    "snapshots/snap_000002.csv": "f2fa305117ec18ea5e56f3f2210e524be544093ab9335043dd155c62e3f148be",
-    "snapshots/snap_000003.csv": "ed5bd7ff6dd585cc5cf4791c23c6d3dc53d053186b863093ce6ef784383c2e4d",
-    "snapshots/snap_000004.csv": "5e99a3b4076d3b0d5c240b93bfd95ef751bede3afbf24eba9dd412417cfe777c",
-    "summary.txt": "36226f90da9998edc36b537dc4b7a71bcd3a92a255389f3221f477ec5ffdeff7",
+    "snapshots/snap_000001.csv": "a5aea7130cd1386a469e117c562f01b641b3e61e63998c78dce1ff0f51124575",
+    "snapshots/snap_000002.csv": "2ca9ea2ef6a74df18b109e5bd6357155ae643b28e1e11f11e8a576fec1a9f27c",
+    "snapshots/snap_000003.csv": "345ac89caaf10d266351fdfba9526bb2c01273ab49ab12d830c6743fb15cd52f",
+    "snapshots/snap_000004.csv": "dbc86628109f9b93b7bc270ff44acb80c396b11b6f6d905501bd89c1936cc890",
+    "summary.txt": "dd9d1b584f4a74351abe0ffd630f003e970b2b90920a581164bf5ea56430ee6c",
 }
 
 
-def test_toy_run_output_hashes(tmp_path):
+# The golden run with beta = 0: P vanishes, so the stepper does not split and
+# these bytes pin the unsplit step on its own.
+GOLDEN_UNSPLIT_INI = GOLDEN_INI.replace("beta = 0.2", "beta = 0")
+
+GOLDEN_UNSPLIT_SHA256 = {
+    "amplitude.csv": "f1c12bb173547bf765f5540b9614980787017dd4c7e4d6d6c410ced178a30875",
+    "config.ini": "901f430a38a138dd9adbb8b984b7f7530979c10fa20b6ef0b57cee7efde26549",
+    "energy.csv": "3210fda5415c97ccf3a538d0edddbfbe998a09cb2ac87587a94f9bd97231a0d9",
+    "gain.csv": "784f951cba5bf56cd84695eb33383372dc7a236e43a323625ce74c0c0ea78c2b",
+    "snapshots/index.csv": "8f3e04c843d7c1e738442dba782313b837c106a3b4db443027e79420b9ef5929",
+    "snapshots/snap_000000.csv": "845fe0f3065066412d80737698abdabf9e28f7dd64c06adf2ba56aece0b5977e",
+    "snapshots/snap_000001.csv": "53470232cb0edca315f17cd1a3b0b5b25084f6d7152ac6889bea5dd05309b10a",
+    "snapshots/snap_000002.csv": "ea69da43685d7be0dfcda31587b68c8942ba1060371c5912c3d742b15f9467af",
+    "snapshots/snap_000003.csv": "692d8556c1d5bbd435a6ec8fe99ac5d1370bc144b0b3c7914a1d8020e2390b5b",
+    "snapshots/snap_000004.csv": "e6f278b59991fdfa0077d71eff0292e23bdf32aa2db2bead5041c58e52336dfa",
+    "summary.txt": "400b801aeb2a2febe4d7e0ae645636577a36cef8eb56f0606c76c6cb4eb3f536",
+}
+
+
+def _assert_run_hashes(tmp_path, ini, hashes):
     cfg = tmp_path / "golden.ini"
-    cfg.write_text(GOLDEN_INI, encoding="utf-8")
+    cfg.write_text(ini, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 0
     written = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
-    assert sorted(written) == sorted(GOLDEN_SHA256)
-    for rel, digest in GOLDEN_SHA256.items():
+    assert sorted(written) == sorted(hashes)
+    for rel, digest in hashes.items():
         assert hashlib.sha256(written[rel].read_bytes()).hexdigest() == digest, rel
+
+
+def test_toy_run_output_hashes(tmp_path):
+    _assert_run_hashes(tmp_path, GOLDEN_INI, GOLDEN_SHA256)
+
+
+def test_unsplit_toy_run_output_hashes(tmp_path):
+    _assert_run_hashes(tmp_path, GOLDEN_UNSPLIT_INI, GOLDEN_UNSPLIT_SHA256)
 
 
 # --- the snapshot writer process ----------------------------------------------

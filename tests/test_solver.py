@@ -210,12 +210,16 @@ class _ReferenceKernel:
 
     Every operation allocates its result, the off-diagonals are arrays and the
     P-kick factor is float64; only the LU factorization is the stepper's own.
+    A split step folds its two half P-kicks into the right-hand-side diagonal
+    and the v update's coefficients; ``fold=False`` keeps the kick-CN-kick
+    composition that the fold rewrites, which agrees with it to roundoff.
     """
 
-    def __init__(self, stepper, pp):
+    def __init__(self, stepper, pp, fold=True):
         g = stepper.grid
         dt, h, n = g.dt, g.h, g.n
         self.grid, self.bc, self.splitting = g, stepper.bc, stepper.splitting
+        self.fold = self.splitting and fold
         self.v_profile = pp.v
         self.fact = stepper._lu._fact
         p_in_block = np.zeros(n) if self.splitting else pp.p
@@ -226,6 +230,12 @@ class _ReferenceKernel:
         self.rlo = np.full(n, c / h**2, dtype=complex)
         self.rdi = self.a * self.d - c * (2.0 / h**2 + p_in_block)
         self.rup = np.full(n, c / h**2, dtype=complex)
+        if self.fold:
+            # v - hp u enters the right-hand side as dt v, and the trailing
+            # kick -hp un with the leading one's +hp u enters the v update
+            self.rdi = self.rdi - dt * self.half_p
+            self.a = self.a - 0.5 * dt * self.half_p
+            self.d = self.d - 0.5 * dt * self.half_p
 
     def rhs(self, u, v):
         dt, h = self.grid.dt, self.grid.h
@@ -252,11 +262,14 @@ class _ReferenceKernel:
         else:
             vn[0] = (un[1] - un[0]) / h
             vn[-1] = -(un[-1] - un[-2]) / h
+            if self.fold:  # the boundary rows set v without the folded kick
+                vn[0] = vn[0] - self.half_p[0] * un[0]
+                vn[-1] = vn[-1] - self.half_p[-1] * un[-1]
         return un, vn
 
     def step(self, state):
         u, v = state.u, state.v
-        if self.splitting:
+        if self.splitting and not self.fold:
             v = v - self.half_p * u
             u, v = self.cn_step(u, v)
             v = v - self.half_p * u
@@ -304,6 +317,20 @@ class TestKernel:
             state, expected = stepper.step(state), reference.step(expected)
         assert np.array_equal(state.u, expected.u)
         assert np.array_equal(state.v, expected.v)
+        assert state.t == expected.t
+
+    @pytest.mark.parametrize("case", ["rn-transparent-split", "dirichlet-uniform"])
+    def test_folded_kicks_match_strang_composition(self, case):
+        # the fold is an exact rewrite of kick, CN step, kick: the two differ
+        # by roundoff only
+        g, pp, bc, _ = _kernel_case(case)
+        stepper = Stepper(g, pp, bc, splitting=True)
+        strang = _ReferenceKernel(stepper, pp, fold=False)
+        state = expected = _random_state(g.n, seed=13)
+        for _ in range(50):
+            state, expected = stepper.step(state), strang.step(expected)
+        for ours, theirs in ((state.u, expected.u), (state.v, expected.v)):
+            assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
         assert state.t == expected.t
 
     def test_held_state_survives_later_steps(self):
