@@ -22,8 +22,11 @@ configuration reproduces the gain/energy/snapshot files byte for byte.
 Sweep summaries additionally record wall time, which is not reproducible.
 
 When a CPU is spare (at least two per run in flight, and the platform can
-fork), a run hands its snapshot files to one forked helper process that
-formats and writes them while the run keeps stepping.  The files and their
+fork), a run gives it to one forked helper process.  A run with dense
+snapshots (a snapshot_stride below 300 steps) hands its snapshot files to a
+writer process that formats and writes them while the run keeps stepping;
+any other run has a solve helper solve half of each step's tridiagonal system,
+spinning on that CPU for the whole time stepping lasts.  The files and their
 bytes are the same either way.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
@@ -64,6 +67,12 @@ _MATRIX_MAX_COLS = 2000
 _BLOCK_VALUES = 16384
 # Snapshots handed to a background writer and not yet on disk; bounds memory.
 _SNAPSHOTS_IN_FLIGHT = 2
+# A run's spare CPU goes to its snapshot writer when snapshot_stride is below
+# this, and to the solve helper otherwise.  Formatting a snapshot costs the
+# stepping process 3-6 µs per node (measured on black-hole states), and the
+# split solve saves it 0.01-0.0125 µs per node per step, so the writer saves
+# more when a snapshot comes every 300-480 steps or more often.
+_WRITER_BELOW_STRIDE = 300
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -102,8 +111,9 @@ def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
 
 
 def _spare_cpu(runs_in_flight: int) -> bool:
-    """Whether each of ``runs_in_flight`` concurrent runs can give its snapshot
-    writer a CPU of its own (a forked process; needs the "fork" start method)."""
+    """Whether each of ``runs_in_flight`` concurrent runs can give one helper
+    process, its snapshot writer or its solve helper, a CPU of its own (a
+    forked process; needs the "fork" start method)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
     try:
@@ -222,11 +232,14 @@ def _execute(
     """Run one configuration, write its outputs, return a summary row.
 
     ``runs_in_flight`` counts the runs executing concurrently with this one
-    (itself included); it decides whether snapshots go to a writer process.
+    (itself included); it decides whether the run has a helper process, and
+    the snapshot stride decides which one (``_WRITER_BELOW_STRIDE``).
     """
     t0 = time.perf_counter()
-    with _SnapshotWriter(outdir, cfg.grid, _spare_cpu(runs_in_flight)) as writer:
-        result = run(cfg, snapshot_callback=writer)
+    spare = _spare_cpu(runs_in_flight)
+    dense = cfg.snapshot_stride < _WRITER_BELOW_STRIDE
+    with _SnapshotWriter(outdir, cfg.grid, spare and dense) as writer:
+        result = run(cfg, snapshot_callback=writer, second_cpu=spare and not dense)
         writer.finish()
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
@@ -280,8 +293,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output-dir", type=Path, default=Path("ergosim-out"))
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for the runs of sweep/repro (default 1); "
-             "snapshot writer processes are not counted",
+        help="worker processes for the runs of sweep/repro (default 1); a run "
+             "may add one helper process, a snapshot writer or a solve helper "
+             "that spins on its CPU, when each run in flight has a CPU spare; "
+             "helpers are not counted",
     )
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)

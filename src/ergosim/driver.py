@@ -141,6 +141,7 @@ def run(
     *,
     collect_snapshots: bool = False,
     snapshot_callback=None,
+    second_cpu: bool = False,
 ) -> RunResult:
     """Advance the configured problem from t = 0 to t = t_final.
 
@@ -150,7 +151,10 @@ def run(
     energy; window snapshots of u every ``snapshot_stride`` steps when
     requested.  Every sampler also sees t = 0 and t = t_final.  On Linux it
     first fixes glibc's malloc thresholds for the whole process
-    (``_reuse_freed_arrays``).
+    (``_reuse_freed_arrays``).  ``second_cpu`` lets the stepper solve half of
+    each step's system in a helper process that spins on a second CPU
+    (:class:`~ergosim.solver.Stepper`); the helper is stopped before this
+    returns or raises.
     """
     _reuse_freed_arrays()
     setup = prepare(cfg)
@@ -176,20 +180,25 @@ def run(
     schedule = [(1, probe.sample) for probe in probes]
     schedule += [(cfg.energy_stride, sample_energy), (cfg.snapshot_stride, sample_snapshot)]
 
-    stepper = Stepper(setup.grid, setup.pp, setup.bc)
+    stepper = Stepper(setup.grid, setup.pp, setup.bc, second_cpu=second_cpu)
     state = setup.state
     n_steps = cfg.n_steps
-    for k in range(n_steps + 1):
-        if k:
-            state = stepper.step(state)
-            # A nan or inf anywhere in u propagates into the sum, and a finite
-            # field whose sum overflows has already overflowed the |u|^2 energy
-            # quadrature; one reduction is cheaper than an elementwise isfinite.
-            if not np.isfinite(state.u.sum()):
-                raise FloatingPointError(f"non-finite field detected at step {k} (t={state.t:g})")
-        for stride, sample in schedule:
-            if k % stride == 0 or k == n_steps:
-                sample(state)
+    try:
+        for k in range(n_steps + 1):
+            if k:
+                state = stepper.step(state)
+                # A nan or inf anywhere in u propagates into the sum, and a finite
+                # field whose sum overflows has already overflowed the |u|^2 energy
+                # quadrature; one reduction is cheaper than an elementwise isfinite.
+                if not np.isfinite(state.u.sum()):
+                    raise FloatingPointError(
+                        f"non-finite field detected at step {k} (t={state.t:g})"
+                    )
+            for stride, sample in schedule:
+                if k % stride == 0 or k == n_steps:
+                    sample(state)
+    finally:
+        stepper.close()
 
     # the zone gain is defined when the data start with zone energy
     zone0, zone_gain = energies[0].zone, None

@@ -59,11 +59,35 @@ scratch buffers, so callers may keep old states; the scratch makes a
 LAPACK's zgttrf/zgttrs come from the OpenBLAS that numpy's wheels bundle,
 called through ctypes, so a run does not import scipy; with a numpy built
 without it (conda, system packages) they come from scipy.linalg.lapack.
+
+With ``second_cpu``, the solve runs on two CPUs as two overlapping systems
+(the partition method of Wang 1981, ACM TOMS 7): rows [0, m+K) and [m-K, n)
+of the matrix, m = n/2, each solved alone, the left one in place and the
+right one by a forked helper process.  Cutting a system at row m+K changes
+the back substitution's value there by |du/d| |x_{m+K}|, and each row above
+shrinks the change by |du/d| again; the right system's first rows change the
+forward elimination by |dl| per row in the same way.  So with rho the largest
+of |dl| and |du/d| over the rows within n/4 of the cut, the halves differ from
+the whole solve at row m by at most about rho^K of the solution's size near
+m+K (the decay of the inverse's entries, Demko, Moss and Smith 1984, Math.
+Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes rho^K <= 2^-106, far below
+half an ulp.  On the presets' and the benchmark's dt = h grids, rho is that
+of the potential-free matrix, 3 - 2 sqrt(2) = 0.1716, and K = 42.  The split
+is kept off when K > n/4, when zgttrf swapped a row within K of the cut, and
+below n = 3000, where it measured no faster.  The bound is on size, not on
+bits; measured, the split solve was ``np.array_equal`` to the whole one at
+every step of whole rn-highenergy and rn-wavepacket runs and of toy runs whose
+packet crosses the cut, and the tests check shortened runs of the three.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import math
+import mmap
+import os
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -146,7 +170,13 @@ class FieldState:
 class _OpenBLAS:
     """LAPACK's zgttrf/zgttrs from the ILP64 OpenBLAS that numpy's wheels bundle,
     called through ctypes (Fortran ABI: every argument by reference, 64-bit
-    integers, and the hidden length of ``TRANS`` last)."""
+    integers, and the hidden length of ``TRANS`` last).
+
+    ``factor`` returns zgttrf's factors (dl, d, du, du2, ipiv) and its info;
+    ``solver(fact, n)`` returns a solve of the factored system's leading n
+    rows, which overwrites the first n values of a contiguous complex128 array
+    and returns zgttrs's info.
+    """
 
     name = "ctypes"
 
@@ -164,19 +194,21 @@ class _OpenBLAS:
         # fresh contiguous copies, as scipy's f2py wrappers make: zgttrf
         # overwrites them with the factors
         dl, d, du = (np.array(a, dtype=np.complex128) for a in (lower, diag, upper))
-        n = ctypes.c_int64(d.size)
-        info, one = ctypes.c_int64(), ctypes.c_int64(1)
+        info = ctypes.c_int64()
         fact = (dl, d, du, np.empty(max(d.size - 2, 0), dtype=np.complex128),
                 np.empty(d.size, dtype=np.int64))
-        pointers = [a.ctypes.data for a in fact]
-        self._trf(n, *pointers, info)
-        trs, head = self._trs, (b"N", n, one, *pointers)
+        self._trf(ctypes.c_int64(d.size), *(a.ctypes.data for a in fact), info)
+        return fact, info.value
+
+    def solver(self, fact, n: int):
+        n, info, one = ctypes.c_int64(n), ctypes.c_int64(), ctypes.c_int64(1)
+        trs, head = self._trs, (b"N", n, one, *(a.ctypes.data for a in fact))
 
         def solve(b: np.ndarray) -> int:
             trs(*head, b.ctypes.data, n, info, 1)
             return info.value
 
-        return fact, solve, info.value
+        return solve
 
 
 class _Scipy:
@@ -194,13 +226,17 @@ class _Scipy:
 
     def factor(self, lower, diag, upper):
         *fact, info = self._trf(lower, diag, upper)
-        trs = self._trs
+        return tuple(fact), info
+
+    def solver(self, fact, n: int):
+        dl, d, du, du2, ipiv = fact
+        trs, head = self._trs, (dl[: n - 1], d[:n], du[: n - 1], du2[: max(n - 2, 0)], ipiv[:n])
 
         def solve(b: np.ndarray) -> int:
             # overwrite_b: a contiguous complex128 b is solved in place
-            return trs(*fact, b, overwrite_b=1)[1]
+            return trs(*head, b[:n], overwrite_b=1)[1]
 
-        return tuple(fact), solve, info
+        return solve
 
 
 def _lapack(libdir: Path) -> _OpenBLAS | _Scipy:
@@ -218,6 +254,21 @@ def _lapack(libdir: Path) -> _OpenBLAS | _Scipy:
 _LAPACK = _lapack(Path(np.__file__).resolve().parents[1] / "numpy.libs")
 
 
+def _check_rhs(rhs: np.ndarray, n: int) -> None:
+    # LAPACK reads and writes n values at rhs's address, unchecked
+    if not (
+        isinstance(rhs, np.ndarray)
+        and rhs.dtype == np.complex128
+        and rhs.shape == (n,)
+        and rhs.flags.c_contiguous
+        and rhs.flags.writeable
+    ):
+        raise ValueError(
+            f"right-hand side must be a writeable, C-contiguous complex128 "
+            f"array of shape ({n},)"
+        )
+
+
 class _TridiagLU:
     """LU factorization of a complex tridiagonal matrix, reused every step."""
 
@@ -225,28 +276,171 @@ class _TridiagLU:
         # lower[j] sits in row j+1, upper[j] in row j; _solve writes through
         # raw pointers into _fact, which this object keeps alive
         self.n = diag.size
-        self._fact, self._solve, info = _LAPACK.factor(lower, diag, upper)
+        self._fact, info = _LAPACK.factor(lower, diag, upper)
         if info != 0:
             raise RuntimeError(f"tridiagonal factorization failed (info={info})")
+        self._solve = _LAPACK.solver(self._fact, self.n)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Overwrite ``rhs`` with the solution and return it."""
-        # LAPACK reads and writes n values at rhs's address, unchecked
-        if not (
-            isinstance(rhs, np.ndarray)
-            and rhs.dtype == np.complex128
-            and rhs.shape == (self.n,)
-            and rhs.flags.c_contiguous
-            and rhs.flags.writeable
-        ):
-            raise ValueError(
-                f"right-hand side must be a writeable, C-contiguous complex128 "
-                f"array of shape ({self.n},)"
-            )
+        _check_rhs(rhs, self.n)
         info = self._solve(rhs)
         if info != 0:  # pragma: no cover
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return rhs
+
+    def close(self) -> None:
+        """Nothing to release; see :meth:`_SplitLU.close`."""
+
+
+# Each half of a split solve reaches K rows past the cut, with rho^K <= 2^-106.
+_OVERLAP_BITS = 106
+# The whole solve below this n: a step at n = 1501 measured no faster split,
+# at n = 3001 15 % faster.
+_SPLIT_MIN_N = 3000
+# Bytes of the pipes between a split solve and its helper process.
+_GO, _QUIT, _OK, _FAILED = b"g", b"q", b"k", b"f"
+
+
+def _overlap(lu: _TridiagLU) -> int | None:
+    """The overlap K of a split at m = n // 2, from ``lu``'s factors, or None
+    where the whole solve is kept: K > n/4, or a row swap within K of m.
+
+    rho bounds the per-row decay of an error in the forward (|dl|) and back
+    (|du/d|) substitutions over the rows within n/4 of the cut.
+    """
+    dl, d, du, _, ipiv = lu._fact
+    n, m = lu.n, lu.n // 2
+    near = slice(m - n // 4, m + n // 4)
+    rho = max(np.abs(dl[near]).max(), np.abs(du[near] / d[near]).max())
+    if rho >= 1.0:
+        return None
+    k = math.ceil(_OVERLAP_BITS * math.log(2.0) / -math.log(rho))
+    # ipiv is 1-based; row i kept its place when ipiv[i] == i + 1
+    if k > n // 4 or np.any(ipiv[m - k : m + k] != np.arange(m - k + 1, m + k + 1)):
+        return None
+    return k
+
+
+class _SplitLU:
+    """The solve of ``whole`` on two CPUs, as two overlapping systems.
+
+    The rows [0, m+K) are solved in place with ``whole``'s leading factors, and
+    the rows [m-K, n) by a helper process, forked at the end of construction,
+    in a shared buffer; the solution is the left system's rows below m and the
+    right system's from m on.  The helper factors its system itself, so the
+    stepping process holds no second set of factors.  The handoff is one byte
+    on each of two non-blocking pipes, and both sides spin on their reads.
+    :meth:`close` stops the helper and reaps it; if it is never called, a
+    finalizer does the same.
+    """
+
+    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int):
+        n, m = whole.n, whole.n // 2
+        self.n, self.k, self._m = n, k, m
+        # With no row swap near the cut, the left system's factors are the
+        # first m+K rows of the whole's; copies let the rest of those go.
+        self._fact = tuple(a[: m + k].copy() for a in whole._fact)
+        self._solve_left = _LAPACK.solver(self._fact, m + k)
+        # Shared with the helper (an anonymous mmap is MAP_SHARED), which sees
+        # its first n-m+K values; n long, so that the stepper can use it as
+        # scratch outside solve() instead of a buffer of its own.
+        self.buf = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
+        self._right = self.buf[: n - m + k]
+        go, self._go = os.pipe()
+        self._done, done = os.pipe()
+        os.set_blocking(go, False)
+        os.set_blocking(self._done, False)
+        owner = os.getpid()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(self._go)
+                os.close(self._done)
+                # `right` stays referenced in this frame while _serve's solves
+                # write through raw pointers into it
+                right, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
+                if info != 0:  # answers the first go byte
+                    os.write(done, _FAILED)
+                else:
+                    _serve(go, done, _LAPACK.solver(right, n - m + k), self._right, owner)
+            finally:
+                os._exit(0)
+        os.close(go)
+        os.close(done)
+        self._stop = weakref.finalize(self, _stop, self.pid, self._go, self._done, owner)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Overwrite ``rhs`` with the solution and return it."""
+        _check_rhs(rhs, self.n)
+        if not self._stop.alive:  # its pipes are closed, and their numbers free for reuse
+            raise RuntimeError("the solve helper process was stopped by close()")
+        m, k, buf = self._m, self.k, self._right
+        buf[:] = rhs[m - k :]
+        try:
+            os.write(self._go, _GO)
+        except BrokenPipeError:  # the helper has exited; its read below says so
+            pass
+        info = self._solve_left(rhs)
+        while True:
+            try:
+                reply = os.read(self._done, 1)
+                break
+            except BlockingIOError:
+                continue
+        if reply != _OK:
+            raise RuntimeError(
+                "the solve helper process has exited" if not reply
+                else "tridiagonal factorization or solve failed in the solve helper process"
+            )
+        if info != 0:  # pragma: no cover
+            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        rhs[m:] = buf[k:]
+        return rhs
+
+    def close(self) -> None:
+        """Stop the helper and reap it; idempotent."""
+        self._stop()
+
+
+def _serve(go: int, done: int, solve, buf: np.ndarray, owner: int) -> None:
+    """The helper's loop: solve ``buf`` in place at each go byte and answer on
+    ``done``; return at a quit byte, at EOF (its stepper's process is gone) or
+    when its parent is no longer ``owner``."""
+    while True:
+        try:
+            command = os.read(go, 1)
+        except BlockingIOError:
+            # spin: a blocking read would wait for an idle CPU to wake up
+            if os.getppid() != owner:
+                return
+            continue
+        if command != _GO:
+            return
+        os.write(done, _OK if solve(buf) == 0 else _FAILED)
+
+
+def _stop(pid: int, go: int, done: int, owner: int) -> None:
+    """Stop and reap the helper ``pid``; a no-op in a process forked from ``owner``."""
+    if os.getpid() != owner:
+        return
+    try:
+        os.write(go, _QUIT)
+    except BrokenPipeError:  # the helper has already exited
+        pass
+    os.close(go)
+    os.close(done)
+    with contextlib.suppress(ChildProcessError):  # reaped elsewhere (SIGCHLD ignored)
+        os.waitpid(pid, 0)
+
+
+def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, second_cpu: bool):
+    """The LU a stepper solves with: split over two CPUs when ``second_cpu``
+    allows it and it pays (:func:`_overlap`, ``_SPLIT_MIN_N``), else whole."""
+    whole = _TridiagLU(lower, diag, upper)
+    if not second_cpu or whole.n < _SPLIT_MIN_N or (k := _overlap(whole)) is None:
+        return whole
+    return _SplitLU(whole, lower, diag, upper, k)
 
 
 class Stepper:
@@ -254,6 +448,11 @@ class Stepper:
 
     ``splitting=None`` resolves automatically: Strang splitting is used exactly
     when the boundary is transparent and P is not identically zero.
+
+    ``second_cpu=True`` splits each step's solve over two CPUs where the grid
+    is large enough and the factors allow it (module docstring): a forked
+    helper process solves half of it, spinning on a CPU of its own between
+    steps.  :meth:`close` stops the helper.
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).
@@ -265,6 +464,7 @@ class Stepper:
         pp: PotentialPair,
         bc: BoundaryMode,
         splitting: bool | None = None,
+        second_cpu: bool = False,
     ):
         bc = BoundaryMode(bc)
         if bc is BoundaryMode.REFERENCE:
@@ -314,9 +514,10 @@ class Stepper:
             di[-1] = 1.0 / dt - 0.5j * pp.v[-1] + 0.5 / h
             lo[-1] = -0.5 / h
 
-        self._lu = _TridiagLU(lo[1:], di, up[:-1])
-        # scratch: _work holds one product at a time
-        self._work = np.empty(n, dtype=complex)
+        self._lu = _factor(lo[1:], di, up[:-1], second_cpu)
+        # scratch: _work holds one product at a time, none across the solve,
+        # so a split solve's shared buffer serves
+        self._work = self._lu.buf if isinstance(self._lu, _SplitLU) else np.empty(n, dtype=complex)
 
     def _rhs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Right-hand side in a fresh array; the solve turns it into u_new."""
@@ -353,3 +554,8 @@ class Stepper:
                 vn[0] -= self._hp_ends[0] * un[0]
                 vn[-1] -= self._hp_ends[1] * un[-1]
         return FieldState(u=un, v=vn, t=state.t + dt)
+
+    def close(self) -> None:
+        """Stop the solve helper process, if ``second_cpu`` started one.
+        Idempotent; a stepper that had a helper cannot step after it."""
+        self._lu.close()

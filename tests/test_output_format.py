@@ -435,3 +435,30 @@ class TestSpareCpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert cli._spare_cpu(1) is False
+
+    @pytest.mark.parametrize(
+        "spare, stride, writer, solve_helper",
+        [
+            (True, 20, True, False),  # GOLDEN_INI's stride
+            (True, cli._WRITER_BELOW_STRIDE - 1, True, False),
+            (True, cli._WRITER_BELOW_STRIDE, False, True),
+            (False, 20, False, False),
+            (False, cli._WRITER_BELOW_STRIDE, False, False),
+        ],
+    )
+    def test_the_spare_cpu_goes_to_one_helper(
+        self, tmp_path, monkeypatch, spare, stride, writer, solve_helper
+    ):
+        """Dense snapshots get the writer process, sparse ones the solve helper,
+        and a run without a spare CPU gets neither."""
+        cfg = replace(load_config(_golden(tmp_path)), snapshot_stride=stride)
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: spare)
+        seen, real_run = [], cli.run
+
+        def run(cfg, *, snapshot_callback, second_cpu):
+            seen.append((snapshot_callback.pool is not None, second_cpu))
+            return real_run(cfg, snapshot_callback=snapshot_callback, second_cpu=second_cpu)
+
+        monkeypatch.setattr(cli, "run", run)
+        cli._execute(cfg, tmp_path / "out")
+        assert seen == [(writer, solve_helper)]

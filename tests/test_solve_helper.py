@@ -1,0 +1,284 @@
+"""The solve helper: ``second_cpu`` runs solve the right half of each step's
+tridiagonal system in a forked helper process (``solver._SplitLU``).
+
+Whole runs with and without the helper give equal arrays and equal output
+bytes, on both black-hole runs of the paper and on a toy run whose packet
+crosses the cut, and no helper outlives its run, however the run ends.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ergosim as es
+from ergosim import cli, solver
+from ergosim.driver import run
+from ergosim.presets import get_preset
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _preset(name: str, label: str) -> es.SimConfig:
+    (cfg,) = (c for c in get_preset(name).configs if c.label == label)
+    return cfg
+
+
+def _crossing_toy() -> es.SimConfig:
+    """A split toy run (P != 0) with n = 6001, whose packet starts at x = 3 and
+    moves left across the cut at x = 0."""
+    return es.SimConfig(
+        model="toy",
+        toy=es.ToyParams(alpha=1.0, beta=0.2, smoothing=1.0),
+        grid=es.Grid(x_min=-30.0, x_max=30.0, h=0.01, dt=0.01),
+        t_final=6.0,
+        data=es.DataSpec(kind="wave-packet", omega=0.5, x0=3.0, width=1.0, phase="plain"),
+        bc=es.BoundaryMode.TRANSPARENT,
+        probes=(-5.0,),
+        snapshot_stride=400,
+    )
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every LU that a stepper builds, in order."""
+    lus, factor = [], solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda *args: lus.append(factor(*args)) or lus[-1])
+    return lus
+
+
+class TestSameResults:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(replace(_preset("rn-highenergy", "omega-100"), t_final=4.0,
+                                 snapshot_stride=800), id="rn-highenergy-omega-100"),
+            pytest.param(replace(_preset("rn-wavepacket", "omega-2.3"), t_final=10.0,
+                                 snapshot_stride=1000), id="rn-wavepacket-omega-2.3"),
+            pytest.param(_crossing_toy(), id="toy-crossing-the-cut"),
+        ],
+    )
+    def test_run_with_the_helper_is_the_run_without(self, case, tmp_path, monkeypatch, made):
+        results, real_run = {}, cli.run
+        for helper in (False, True):
+            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: helper)
+            monkeypatch.setattr(
+                cli, "run", lambda cfg, **kw: results.setdefault(helper, real_run(cfg, **kw))
+            )
+            cli._execute(case, tmp_path / str(helper))
+        assert [type(lu) for lu in made] == [solver._TridiagLU, solver._SplitLU]
+        assert made[1].k == 42
+        without, with_helper = (results[h].final_state for h in (False, True))
+        assert np.array_equal(without.u, with_helper.u)
+        assert np.array_equal(without.v, with_helper.v)
+        assert _files(tmp_path / "False") == _files(tmp_path / "True")
+        if case.model == "toy":  # the packet's peak crossed the cut
+            assert case.data.x0 > 0.0 > case.grid.x[np.argmax(np.abs(without.u))]
+
+
+def _reaped(pid: int) -> bool:
+    """Whether ``pid``, a child of this process, has been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _python(script: str, *args: str, **kwargs) -> tuple[subprocess.Popen, str, str]:
+    """Run ``script`` to its end; the finished process, its stdout and stderr."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    with subprocess.Popen(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", script, *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc, out, err
+
+
+# A toy run above the split's crossover, with sparse snapshots, so that a run
+# given a spare CPU gets the solve helper.
+HELPER_INI = """\
+[model]
+kind = toy
+
+[grid]
+x_min = -30
+x_max = 30
+h = 0.01
+dt = 0.01
+
+[run]
+t_final = 0.5
+bc = transparent
+probes = 5
+snapshot_stride = 1000
+energy_stride = 10
+
+[data]
+kind = wave-packet
+omega = 0.5
+x0 = 6
+width = 1
+phase = plain
+
+[toy]
+alpha = 1
+beta = 0.2
+smoothing = 1
+"""
+
+# Runs `ergosim run` on argv[1] into argv[2] with a spare CPU, after a fault
+# chosen by argv[3]; prints the pid of each helper process, then exits with
+# main's code.
+CLI_SCRIPT = """
+import sys
+import numpy as np
+from ergosim import cli, solver
+from ergosim.solver import Stepper
+
+ini, out, fault = sys.argv[1:4]
+original, steps = Stepper.step, [0]
+
+def step(self, state):
+    state = original(self, state)
+    steps[0] += 1
+    if steps[0] == 3 and fault == "inf":
+        state.u[5] = np.inf
+    if steps[0] == 3 and fault == "raise":
+        raise RuntimeError("injected fault")
+    return state
+
+Stepper.step = step
+cli._spare_cpu = lambda runs_in_flight: True
+factor = solver._factor
+
+def logged(*args):
+    lu = factor(*args)
+    print(lu.pid, flush=True)
+    return lu
+
+solver._factor = logged
+sys.exit(cli.main(["--output-dir", out, "--quiet", "run", ini]))
+"""
+
+
+class TestLifeCycle:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, a test whose stepper waits on a lost helper."""
+
+        def expire(signum, frame):
+            raise TimeoutError("solve helper test ran past its deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_reaped_after_a_run(self, made):
+        run(_crossing_toy(), second_cpu=True)
+        (lu,) = made
+        assert type(lu) is solver._SplitLU
+        assert _reaped(lu.pid)
+
+    def test_reaped_after_a_snapshot_callback_raises(self, made):
+        def callback(state):
+            if state.t > 0.0:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run(_crossing_toy(), snapshot_callback=callback, second_cpu=True)
+        (lu,) = made
+        assert type(lu) is solver._SplitLU
+        assert _reaped(lu.pid)
+
+    @pytest.mark.parametrize(
+        "fault, code", [("none", 0), ("raise", 1), ("bad-config", 2), ("inf", 3)]
+    )
+    def test_no_process_outlives_ergosim_run(self, tmp_path, fault, code):
+        """A real `ergosim run` in a process group of its own: whatever its
+        exit code, nothing of the group is left when it has exited."""
+        ini = tmp_path / "helper.ini"
+        text = HELPER_INI if fault != "bad-config" else HELPER_INI.replace("h = 0.01", "h = -1")
+        ini.write_text(text, encoding="utf-8")
+        proc, out, err = _python(
+            CLI_SCRIPT, str(ini), str(tmp_path / "out"), fault, start_new_session=True
+        )
+        assert proc.returncode == code, err
+        assert len(out.split()) == (fault != "bad-config")  # the helpers' pids
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        if fault == "inf":
+            assert "numerical failure: non-finite field detected at step 3" in err
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_helper_ends_with_its_stepper_process(self):
+        """A process that started a helper and leaves by os._exit, calling
+        neither close() nor its finalizer, takes the helper with it."""
+        script = """
+import os
+import numpy as np
+from ergosim import solver
+
+n = solver._SPLIT_MIN_N
+off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
+lu = solver._factor(off, diag, off, second_cpu=True)
+assert type(lu) is solver._SplitLU
+x = lu.solve(np.ones(n, dtype=complex))
+print(lu.pid, flush=True)
+os._exit(0)
+"""
+        proc, out, err = _python(script)
+        assert proc.returncode == 0, err
+        helper = int(out)
+        deadline = time.monotonic() + 1.0
+        while _running(helper) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(helper)
+
+    def test_helper_forks_before_any_thread(self, tmp_path):
+        """The helper is forked while the run has one Python thread (BLAS
+        pools are kept to one thread here, as in the writer's test)."""
+        script = """
+import os, sys, threading
+from pathlib import Path
+from ergosim import cli, solver
+from ergosim.config import load_config
+
+at_fork = []
+os.register_at_fork(before=lambda: at_fork.append(threading.active_count()))
+cli._spare_cpu = lambda runs_in_flight: True
+made, factor = [], solver._factor
+solver._factor = lambda *args: made.append(factor(*args)) or made[-1]
+cli._execute(load_config(Path(sys.argv[1])), Path(sys.argv[2]))
+assert [type(lu).__name__ for lu in made] == ["_SplitLU"], made
+assert at_fork == [1], at_fork
+"""
+        ini = tmp_path / "helper.ini"
+        ini.write_text(HELPER_INI, encoding="utf-8")
+        proc, _, err = _python(script, str(ini), str(tmp_path / "out"))
+        assert proc.returncode == 0, err

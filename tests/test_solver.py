@@ -411,6 +411,122 @@ class TestLapackBinding:
         assert np.array_equal(rhs, before)
 
 
+def _tridiag(n, diag=1.5, off=-0.25):
+    """(lower, diag, upper) of a constant tridiagonal matrix; the defaults
+    are the left-hand matrix of a dt = h grid far from any potential."""
+    return (np.full(n - 1, off, dtype=complex), np.full(n, diag, dtype=complex),
+            np.full(n - 1, off, dtype=complex))
+
+
+class TestSplitSolve:
+    """``second_cpu``: the solve split into overlapping halves, the right one
+    solved by a helper process (``solver._SplitLU``)."""
+
+    @pytest.mark.parametrize(
+        "preset, label",
+        [("toy-smoothing-flux", "L-0"), ("rn-wavepacket", "omega-2.3"),
+         ("rn-highenergy", "omega-100")],
+    )
+    def test_overlap_on_the_paper_grids(self, preset, label):
+        # dt = h puts rho at 3 - 2 sqrt(2) = 0.1716 away from the potentials'
+        # bump, and ceil(106 ln 2 / -ln rho) = 42
+        from ergosim.presets import get_preset
+
+        (cfg,) = (c for c in get_preset(preset).configs if c.label == label)
+        stepper = Stepper(cfg.grid, cfg.potentials(cfg.grid.x), cfg.bc)
+        assert solver._overlap(stepper._lu) == 42
+
+    def test_whole_solve_below_the_crossover(self):
+        g, pp, bc, _ = _kernel_case("rn-transparent-split")
+        assert g.n < solver._SPLIT_MIN_N
+        stepper = Stepper(g, pp, bc, second_cpu=True)
+        assert type(stepper._lu) is solver._TridiagLU
+        assert solver._overlap(stepper._lu) is not None  # the size alone decides
+        stepper.close()
+
+    def test_whole_solve_when_the_overlap_exceeds_a_quarter(self):
+        # the second difference: its factors decay like i/(i+1), so rho -> 1
+        n = 2 * solver._SPLIT_MIN_N
+        lu = solver._factor(*_tridiag(n, diag=2.0, off=-1.0), second_cpu=True)
+        assert type(lu) is solver._TridiagLU
+        assert solver._overlap(lu) is None
+        # off = -0.9 d, with d = 2 / 1.81 the pivots' limit, gives rho = 0.9
+        # and K = 698 <= n/4: the split stands
+        lu = solver._factor(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81), second_cpu=True)
+        assert type(lu) is solver._SplitLU and lu.k == 698
+        lu.close()
+
+    def test_whole_solve_when_a_row_swap_falls_in_the_overlap(self):
+        # Row r gets a zero diagonal and a large entry below it, so zgttrf
+        # swaps rows r and r+1; the factors keep rho = 0.375, so K = 75
+        # wherever r lies, and only the swap's place decides.
+        n = 2 * solver._SPLIT_MIN_N
+        m = n // 2
+
+        def swapped_at(r):
+            lower, diag, upper = _tridiag(n)
+            diag[r], lower[r], upper[r] = 0.0, 4.0, -1.0
+            lu = solver._TridiagLU(lower, diag, upper)
+            assert list(np.flatnonzero(lu._fact[4] != np.arange(1, n + 1))) == [r]
+            return solver._overlap(lu)
+
+        for r in (m - 75, m, m + 74):  # the overlap's first row, the cut, its last row
+            assert swapped_at(r) is None
+        for r in (m - 76, m + 75, m + 200):
+            assert swapped_at(r) == 75
+
+    @pytest.mark.parametrize("binding", ["ctypes", "scipy"])
+    def test_split_solve_is_the_whole_solve(self, binding, tmp_path, monkeypatch):
+        if binding == "scipy":
+            monkeypatch.setattr(solver, "_LAPACK", solver._lapack(tmp_path))  # no library there
+        elif solver._LAPACK.name != "ctypes":
+            pytest.skip("only the scipy binding is available")
+        g = Grid(x_min=-40.0, x_max=40.0, h=0.01, dt=0.01)
+        pp = rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, g.x)
+        whole = Stepper(g, pp, BoundaryMode.TRANSPARENT)
+        split = Stepper(g, pp, BoundaryMode.TRANSPARENT, second_cpu=True)
+        assert type(split._lu) is solver._SplitLU and split._lu.k == 42
+        for seed in range(3):
+            rhs = _random_state(g.n, seed).u
+            assert np.array_equal(split._lu.solve(rhs.copy()), whole._lu.solve(rhs.copy()))
+        split.close()
+
+    def test_split_solve_refuses_what_lapack_would_overrun(self):
+        lu = solver._factor(*_tridiag(solver._SPLIT_MIN_N), second_cpu=True)
+        rhs = np.zeros(lu.n - 1, dtype=complex)
+        with pytest.raises(ValueError, match="right-hand side"):
+            lu.solve(rhs)
+        lu.close()
+
+    def test_lost_helper_is_an_error_and_close_still_reaps(self):
+        import os
+        import signal
+
+        lu = solver._factor(*_tridiag(solver._SPLIT_MIN_N), second_cpu=True)
+        os.kill(lu.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="helper process has exited"):
+            lu.solve(np.ones(lu.n, dtype=complex))
+        lu.close()  # the quit byte meets a closed pipe
+        with pytest.raises(ChildProcessError):
+            os.waitpid(lu.pid, os.WNOHANG)
+        lu.close()  # idempotent
+        with pytest.raises(RuntimeError, match="stopped by close"):
+            lu.solve(np.ones(lu.n, dtype=complex))
+
+    def test_singular_right_system_is_an_error(self):
+        # The right system's first column is zero, so zgttrf meets an exact
+        # zero pivot there; the whole matrix keeps its upper entry in that column.
+        n = solver._SPLIT_MIN_N
+        lower, diag, upper = _tridiag(n)
+        first = n // 2 - 42
+        diag[first], lower[first] = 0.0, 0.0
+        lu = solver._TridiagLU(lower, diag, upper)
+        split = solver._SplitLU(lu, lower, diag, upper, 42)
+        with pytest.raises(RuntimeError, match="failed in the solve helper"):
+            split.solve(np.ones(n, dtype=complex))
+        split.close()
+
+
 class TestConservation:
     def test_energy_constant_before_boundary_contact(self):
         from ergosim.diagnostics import energy_total
