@@ -23,7 +23,7 @@ Sweep summaries additionally record wall time, which is not reproducible.
 
 When a CPU is spare (at least two per run in flight, and the platform can
 fork), a run gives it to one forked helper process.  A run with dense
-snapshots (a snapshot_stride below 300 steps) hands its snapshot files to a
+snapshots (a snapshot_stride below 100 steps) hands its snapshot files to a
 writer process that formats and writes them while the run keeps stepping;
 any other run has a solve helper solve half of each step's tridiagonal system,
 spinning on that CPU for the whole time stepping lasts.  The files and their
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import multiprocessing
 import os
 import sys
@@ -48,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._float17 import format_rows
 from .config import (
     ConfigError,
     SimConfig,
@@ -62,17 +64,18 @@ from .presets import get_preset, preset_names
 from .solver import Grid
 
 _MATRIX_MAX_COLS = 2000
-# Values formatted per call of _write_table: 4096 rows of a snapshot, and a
-# transient (block list, tuple and text) under about 1 MB at any width.
-_BLOCK_VALUES = 16384
+# Values formatted per call of format_rows: 1024 rows of a snapshot, and
+# transient arrays and text of about 1 MB at any width.
+_BLOCK_VALUES = 4096
 # Snapshots handed to a background writer and not yet on disk; bounds memory.
 _SNAPSHOTS_IN_FLIGHT = 2
 # A run's spare CPU goes to its snapshot writer when snapshot_stride is below
-# this, and to the solve helper otherwise.  Formatting a snapshot costs the
-# stepping process 3-6 µs per node (measured on black-hole states), and the
-# split solve saves it 0.01-0.0125 µs per node per step, so the writer saves
-# more when a snapshot comes every 300-480 steps or more often.
-_WRITER_BELOW_STRIDE = 300
+# this, and to the solve helper otherwise.  Writing a snapshot costs the
+# stepping process 1.0-1.5 µs per node, and the split solve saves it
+# 0.009-0.019 µs per node per step (both measured on rn-wavepacket and
+# rn-highenergy states after 300 steps), so the writer saves more when a
+# snapshot comes every 70-160 steps or more often.
+_WRITER_BELOW_STRIDE = 100
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -88,18 +91,19 @@ def _write_table(
     """Write a 2-D float table as CSV, every value printed as ``f"{x:.17g}"``.
 
     The bytes equal ``csv.writer`` fed one ``_fmt`` string per cell (float
-    strings never need quoting), but each block of rows is formatted by one
-    ``%`` call instead of one Python call per cell.
+    strings never need quoting).  A vectorized kernel (``_float17``) computes
+    them a block of rows at a time; the few values it cannot certify, inf and
+    nan among them, are printed by Python's ``%``, one value each.
     """
     rows, cols = table.shape
-    row_format = ",".join(["%.17g"] * cols) + newline
     step = max(1, _BLOCK_VALUES // cols)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
         if header is not None:
-            csv.writer(fh).writerow(header)
+            text = io.StringIO()
+            csv.writer(text).writerow(header)
+            fh.write(text.getvalue().encode())
         for start in range(0, rows, step):
-            block = table[start : start + step]
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(table[start : start + step], newline))
 
 
 def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:

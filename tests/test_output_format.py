@@ -442,8 +442,10 @@ class TestSpareCpu:
             (True, 20, True, False),  # GOLDEN_INI's stride
             (True, cli._WRITER_BELOW_STRIDE - 1, True, False),
             (True, cli._WRITER_BELOW_STRIDE, False, True),
+            (True, 300, False, True),
             (False, 20, False, False),
             (False, cli._WRITER_BELOW_STRIDE, False, False),
+            (False, 300, False, False),
         ],
     )
     def test_the_spare_cpu_goes_to_one_helper(
