@@ -8,13 +8,15 @@ Digits.  With e = floor(log10|x|) and k = 16 - e, the 17 significant digits
 are D = round-half-even(|x|·10^k).  10^k is held as a double-double hi + lo,
 built exactly from integers, and |x|·hi is split into a double and its exact
 error by Dekker's product without FMA (Dekker 1971, Numer. Math. 18), so
-|x|·10^k is known to within 2^-46 while it is below 10^17.  Where lo is 0
-(0 ≤ k ≤ 22) the product is exact and a tie goes to the even neighbour, as it
-does in CPython's dtoa.  Elsewhere a fraction within 2^-36 of one half is not
-certified.  |x| < 2^-900 is first scaled by 2^1000, exactly, against a table
-of 10^k·2^-1000.  An uncertified value, inf, nan and |x| ≥ 2^996 (where the
-split could overflow) are printed by Python's ``%`` (``_fallback``), one value
-at a time.
+|x|·10^k is known to within 2^-46 while it is below 10^17.  The kernel prints
+a nonzero value only when 2^-900 ≤ |x| < 2^996 (below, 10^k or its split
+would overflow; above, the split of |x| would), the integer part of |x|·10^k
+is at least 10^16 and its rounding stays below 10^17 (so e was right and no
+digit carries out), and the fraction is not within 2^-36 of one half (a tie
+or a near tie).  Every other nonzero value is printed by Python's ``%``
+(``_fallback``), one value at a time: inf, nan, |x| ≥ 2^996, 0 < |x| <
+2^-900, values next to a power of ten whose log10 is one off, and exact and
+near ties.
 
 Text.  Each value becomes a record of eight little-endian 8-byte words taken
 from lookup tables and padded with NUL bytes: the sign with a "0.000" prefix;
@@ -32,12 +34,10 @@ import numpy as np
 _SPLITTER = 2.0**27 + 1  # Veltkamp's split of a double into two 26-bit halves
 _HUGE = 2.0**996  # |x|·_SPLITTER stays finite below this
 _TINY = 2.0**-900
-_TINY_SCALE = 2.0**1000
 _UNCERTAIN = 2.0**-36  # a fraction this close to 1/2 is left to _fallback
-# 10^k for the k that |x| in [_TINY, _HUGE) and in (0, _TINY) can need, with
-# one step of slack for floor(log10) being one off.
-_K_NORMAL = range(-290, 295)
-_K_TINY = range(280, 345)
+# 10^k for the k that |x| in [_TINY, _HUGE) can need, with one step of slack
+# for floor(log10) being one off.
+_K = range(-290, 295)
 _NO_POINT = 17  # a point position after no printed digit
 _EXPONENTS = range(-324, 309)
 
@@ -63,9 +63,7 @@ def _words(texts: list[str]) -> np.ndarray:
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The lookup tables, built once per process on first use."""
-    powers = [_double_double(10**k, 1) if k >= 0 else _double_double(1, 10**-k)
-              for k in _K_NORMAL]
-    powers += [_double_double(10**k, 2**1000) for k in _K_TINY]
+    powers = [_double_double(10**k, 1) if k >= 0 else _double_double(1, 10**-k) for k in _K]
     hi, lo = np.array(powers).T.copy()
     c = _SPLITTER * hi
     hi_head = c - (c - hi)
@@ -112,7 +110,7 @@ def _tables() -> SimpleNamespace:
 
 
 def _scaled_floor(a: np.ndarray, j: np.ndarray, t: SimpleNamespace):
-    """floor(y) and y - floor(y), y = a·(hi + lo)[j], and whether lo is 0."""
+    """floor(y) and y - floor(y), y = a·(hi + lo)[j]."""
     hi, lo = t.hi[j], t.lo[j]
     p = a * hi
     c = _SPLITTER * a
@@ -122,20 +120,7 @@ def _scaled_floor(a: np.ndarray, j: np.ndarray, t: SimpleNamespace):
     err = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
     rest = err + a * lo
     whole = np.floor(rest)
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole, lo == 0
-
-
-def _misscaled(whole: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where e = floor(log10|x|) was one too high, and where one too low, from
-    y = whole + frac = |x|·10^(16-e), which belongs in [10^16, 10^17).
-
-    Decided before rounding: at e = -304, 1e-304 gives y = 10^16 - 0.29,
-    which would round to 10^16, while its 17 digits at e = -305 are
-    99999999999999997.  A y from 10^16 - 0.05 up, though, rounds to 10^16 at
-    either exponent, so it may keep e; the cut at a fraction of 0.96 leaves
-    room for the error of y.
-    """
-    return whole + (frac > 0.96) < 10**16, whole >= 10**17
+    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
 def _thousands(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,35 +142,20 @@ def _exponents(newline: str) -> np.ndarray:
 
 def _digits(x: np.ndarray, t: SimpleNamespace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of each x as an integer in [10^16, 10^17)
-    (0 for ±0), its decimal exponent, and where neither is certified."""
+    (0 for ±0 and where not certified), its decimal exponent, and where
+    neither is certified."""
     a = np.abs(x)
-    fallback = ~(a < _HUGE)  # inf, nan and the huge
-    zero = np.flatnonzero(a == 0)
-    a[np.flatnonzero(fallback)] = 1.0
-    a[zero] = 1.0
+    zero = a == 0
+    fallback = ~((a >= _TINY) & (a < _HUGE) | zero)  # inf and nan among them
+    a[fallback | zero] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    tiny = np.flatnonzero(a < _TINY)
-    a[tiny] *= _TINY_SCALE
-    j = (16 - _K_NORMAL.start) - e  # the index of 10^(16-e) in the tables
-    j[tiny] += len(_K_NORMAL) + _K_NORMAL.start - _K_TINY.start
-    whole, frac, exact = _scaled_floor(a, j, t)
-    low, high = _misscaled(whole, frac)
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        step = np.where(low[fix], 1, -1)
-        e[fix] -= step
-        j[fix] += step
-        whole[fix], frac[fix], exact[fix] = _scaled_floor(a[fix], j[fix], t)
-        fallback[fix] |= np.logical_or(*_misscaled(whole[fix], frac[fix]))
+    whole, frac = _scaled_floor(a, (16 - _K.start) - e, t)
     half = frac - 0.5
-    fallback |= ~exact & (np.abs(half) < _UNCERTAIN)
     digits = whole + (half > 0)
-    tie = np.flatnonzero(half == 0)  # exact ties round to even
-    digits[tie] += whole[tie] & 1
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    e += carry
-    digits[zero] = 0  # prints as "0" with e = 0
+    fallback |= (whole < 10**16) | (digits >= 10**17) | (np.abs(half) < _UNCERTAIN)
+    # ±0 prints as "0" with e = 0; a fallback's digits, whose text is
+    # replaced, only have to stay inside the tables
+    digits[fallback | zero] = 0
     e[zero] = 0
     return digits, e, fallback
 
@@ -217,11 +187,9 @@ def format_rows(block: np.ndarray, newline: str) -> bytes:
     exponent.reshape(rows, cols)[:, -1] += len(_EXPONENTS) + 1
     record[:, 7] = _exponents(newline)[exponent]
     fallback = np.flatnonzero(fallback)
-    if fallback.size:
-        chars = record.view(np.uint8)
-        chars[fallback] = 0
-        for i, text in zip(fallback.tolist(), _fallback(x[fallback])):
-            end = newline if i % cols == cols - 1 else ","
-            text = (text + end).encode()
-            chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+    if fallback.size:  # a 64-byte record holds any "%.17g" text and its end
+        ends = [newline if i % cols == cols - 1 else "," for i in fallback.tolist()]
+        texts = b"".join((text + end).encode().ljust(64, b"\0")
+                         for text, end in zip(_fallback(x[fallback]), ends))
+        record[fallback] = np.frombuffer(texts, "<u8").reshape(-1, 8)
     return record.tobytes().translate(None, b"\0")

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import multiprocessing
 import os
 import sys
@@ -90,18 +89,18 @@ def _write_table(
 ) -> None:
     """Write a 2-D float table as CSV, every value printed as ``f"{x:.17g}"``.
 
-    The bytes equal ``csv.writer`` fed one ``_fmt`` string per cell (float
-    strings never need quoting).  A vectorized kernel (``_float17``) computes
-    them a block of rows at a time; the few values it cannot certify, inf and
-    nan among them, are printed by Python's ``%``, one value each.
+    The bytes equal ``csv.writer`` fed the header and one ``_fmt`` string per
+    cell (neither the column names nor float strings need quoting).  A
+    vectorized kernel (``_float17``) computes them a block of rows at a time;
+    the values it does not certify are printed by Python's ``%``, one value
+    each: inf, nan, |x| ≥ 2^996, 0 < |x| < 2^-900, values next to a power of
+    ten and exact or near ties in the 17th digit.
     """
     rows, cols = table.shape
     step = max(1, _BLOCK_VALUES // cols)
     with path.open("wb") as fh:
         if header is not None:
-            text = io.StringIO()
-            csv.writer(text).writerow(header)
-            fh.write(text.getvalue().encode())
+            fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, rows, step):
             fh.write(format_rows(table[start : start + step], newline))
 

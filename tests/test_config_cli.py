@@ -26,7 +26,6 @@ from ergosim.config import (
     serialize_sweep,
 )
 from ergosim.presets import get_preset, preset_names
-from ergosim.solver import Grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -551,9 +550,9 @@ print(len(forks))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
     def test_steps_reuse_freed_memory(self, tmp_path):
-        """The energy sampler frees and allocates several grid-sized temporaries
-        per sample; malloc must hand the freed memory back rather than new pages
-        that fault in (about 250 per sample at n = 20001)."""
+        """The snapshot formatter frees and allocates blocks of 256 KB and more
+        per 1024 rows; malloc must hand the freed memory back rather than new
+        pages that fault in (about 390 per snapshot of this toy run)."""
         script = """
 import resource, sys
 from ergosim.cli import main
@@ -564,20 +563,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         src = Path(es.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-        base = get_preset("rn-highenergy").configs[0]
+        base = get_preset("toy-smoothing-flux").configs[0]
         faults = []
-        for t_final in (1.0, 2.0):  # 200 and 400 steps of n = 20001
-            cfg = replace(base, grid=Grid(-50.0, 50.0, 0.005, 0.005), t_final=t_final,
-                          snapshot_stride=4000)
+        for t_final in (40.0, 80.0):  # 11 and 21 snapshots of n = 1501, written inline
+            # a stride not below cli._WRITER_BELOW_STRIDE: this process writes them
+            cfg = replace(base, t_final=t_final, snapshot_stride=100)
             path = self.write(tmp_path, serialize_config(cfg), f"t{t_final:g}.ini")
+            out = tmp_path / f"out{t_final:g}"
             proc = subprocess.run(
-                [sys.executable, "-c", script, str(path), str(tmp_path / f"out{t_final:g}")],
+                [sys.executable, "-c", script, str(path), str(out)],
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
             faults.append(int(proc.stdout))
-        # about 10 per step where the energy samples' temporaries come back as new pages
-        assert (faults[1] - faults[0]) / 200 < 1.0
+        assert len(list(out.rglob("snap_*.csv"))) == 21
+        assert (faults[1] - faults[0]) / 10 < 100
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])

@@ -221,34 +221,37 @@ def test_rn_run_skips_zone_gain():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc")
-def test_library_run_reuses_freed_memory():
+def test_library_run_reuses_freed_memory(tmp_path):
     """``driver.run`` sets glibc's malloc thresholds itself, so a caller that
-    never imports the command line does not fault in the energy sampler's
-    grid-sized temporaries (about 260 pages per sample at n = 20001) and the
-    step's two fresh arrays as new pages."""
+    never imported the command line before the run gets the snapshot
+    formatter's freed blocks back after it, not new pages that fault in
+    (about 410 per n = 25001 snapshot without the setting)."""
     script = """
 import resource, sys
 from dataclasses import replace
+from pathlib import Path
+import numpy as np
 from ergosim.driver import run
 from ergosim.presets import get_preset
 from ergosim.solver import Grid
-cfg = replace(get_preset("rn-highenergy").configs[0], grid=Grid(-50.0, 50.0, 0.005, 0.005),
-              t_final=float(sys.argv[1]), snapshot_stride=4000)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run(cfg)
+run(replace(get_preset("toy-smoothing-flux").configs[0], t_final=1.0))
 assert "ergosim.cli" not in sys.modules
+from ergosim.cli import _write_snapshot
+grid = Grid(-500.0, 500.0, 0.04, 0.04)  # n = 25001
+u = np.exp(2.3j * grid.x)
+path = Path(sys.argv[1])
+_write_snapshot(path, grid, u)  # the first one may grow the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    _write_snapshot(path, grid, u)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
     src = Path(es.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    faults = []
-    for t_final in ("1", "2"):  # 200 and 400 steps of n = 20001
-        proc = subprocess.run(
-            [sys.executable, "-c", script, t_final],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        faults.append(int(proc.stdout))
-    # about 10 per step without the setting
-    assert (faults[1] - faults[0]) / 200 < 1.0
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "snap.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 3 < 100

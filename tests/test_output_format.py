@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergosim import cli
+from ergosim import _float17, cli, driver
 from ergosim.cli import _SnapshotWriter, _write_snapshot, _write_table, main
-from ergosim.config import _fmt, load_config
+from ergosim.config import _fmt, load_config, parse_config
 from ergosim.presets import get_preset
 from ergosim.solver import FieldState, Grid, Stepper
 
@@ -114,6 +114,25 @@ class TestAgainstPerCellWriter:
         _write_table(tmp_path / "new.csv", header, table)
         _old_write_csv(tmp_path / "old.csv", header, ((_old_fmt(v) for v in row) for row in table))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+    def test_golden_run_snapshots(self, tmp_path, monkeypatch):
+        """Real field values: the snapshot states of the GOLDEN_INI run.  Only
+        its wave packet's Gaussian tails, 0 < |x| < 2^-900, go to ``_fallback``."""
+        fallbacks = []
+        real = _float17._fallback
+        monkeypatch.setattr(_float17, "_fallback",
+                            lambda values: fallbacks.extend(values.tolist()) or real(values))
+        cfg = parse_config(GOLDEN_INI)
+        result = driver.run(cfg, collect_snapshots=True)
+        assert len(result.snapshots) == 5
+        for k, (_, u) in enumerate(result.snapshots):
+            _write_snapshot(tmp_path / f"new{k}.csv", cfg.grid, u)
+            _old_snapshot(tmp_path / f"old{k}.csv", cfg.grid.x, u)
+            assert (tmp_path / f"new{k}.csv").read_bytes() == (
+                tmp_path / f"old{k}.csv"
+            ).read_bytes()
+        assert fallbacks and all(0 < abs(x) < 2.0**-900 for x in fallbacks)
 
 
 GOLDEN_INI = """
