@@ -22,12 +22,11 @@ configuration reproduces the gain/energy/snapshot files byte for byte.
 Sweep summaries additionally record wall time, which is not reproducible.
 
 When a CPU is spare (at least two per run in flight, and the platform can
-fork), a run gives it to one forked helper process.  A run with dense
-snapshots (a snapshot_stride below 100 steps) hands its snapshot files to a
-writer process that formats and writes them while the run keeps stepping;
-any other run has a solve helper solve half of each step's tridiagonal system,
-spinning on that CPU for the whole time stepping lasts.  The files and their
-bytes are the same either way.
+fork), a run gives it to one forked helper process.  The helper formats and
+writes each snapshot file from a copy of the field while the run keeps
+stepping, and between files it solves half of each step's tridiagonal system
+where that pays, spinning on its CPU; a step solves whole while the helper
+writes.  The files and their bytes are the same with or without the helper.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 1 unexpected error.
@@ -41,8 +40,8 @@ import multiprocessing
 import os
 import sys
 import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -66,15 +65,6 @@ _MATRIX_MAX_COLS = 2000
 # Values formatted per call of format_rows: 1024 rows of a snapshot, and
 # transient arrays and text of about 1 MB at any width.
 _BLOCK_VALUES = 4096
-# Snapshots handed to a background writer and not yet on disk; bounds memory.
-_SNAPSHOTS_IN_FLIGHT = 2
-# A run's spare CPU goes to its snapshot writer when snapshot_stride is below
-# this, and to the solve helper otherwise.  Writing a snapshot costs the
-# stepping process 1.0-1.5 µs per node, and the split solve saves it
-# 0.009-0.019 µs per node per step (both measured on rn-wavepacket and
-# rn-highenergy states after 300 steps), so the writer saves more when a
-# snapshot comes every 70-160 steps or more often.
-_WRITER_BELOW_STRIDE = 100
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -115,8 +105,8 @@ def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
 
 def _spare_cpu(runs_in_flight: int) -> bool:
     """Whether each of ``runs_in_flight`` concurrent runs can give one helper
-    process, its snapshot writer or its solve helper, a CPU of its own (a
-    forked process; needs the "fork" start method)."""
+    process a CPU of its own (a forked process; needs the "fork" start
+    method)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
     try:
@@ -127,57 +117,26 @@ def _spare_cpu(runs_in_flight: int) -> bool:
 
 
 class _SnapshotWriter:
-    """Streams snapshots to disk and keeps a strided |Re u| matrix in memory.
+    """Names the snapshot files, indexes them and keeps a strided |Re u| matrix
+    in memory.  Each call returns the file's write, a function of u, for
+    ``driver.run`` to run: in the run's helper process if it has one."""
 
-    With ``background``, the snapshot files are written by a writer process
-    of its own while the caller goes on; at most ``_SNAPSHOTS_IN_FLIGHT`` wait
-    there at a time.  Use it as a context manager: leaving the block stops the
-    writer process.
-    """
-
-    def __init__(self, outdir: Path, grid: Grid, background: bool = False):
+    def __init__(self, outdir: Path, grid: Grid):
         self.dir = outdir / "snapshots"
         self.grid = grid
         self.stride = max(1, int(np.ceil(grid.n / _MATRIX_MAX_COLS)))
         self.index: list[tuple[str, str]] = []
         self.matrix_rows: list[np.ndarray] = []
-        self.pending: deque[Future] = deque()
-        self.pool = None
-        if background:
-            # "fork": the writer starts without importing numpy again; it is
-            # forked at the first submit, before the executor starts any
-            # thread of its own.
-            self.pool = ProcessPoolExecutor(
-                max_workers=1, mp_context=multiprocessing.get_context("fork")
-            )
 
-    def __enter__(self) -> _SnapshotWriter:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-
-    def __call__(self, state) -> None:
+    def __call__(self, state) -> partial:
         if not self.index:  # nothing is written before the run's first sample
             self.dir.mkdir(parents=True, exist_ok=True)
         name = f"snap_{len(self.index):06d}.csv"
-        u = state.u
-        if self.pool is None:
-            _write_snapshot(self.dir / name, self.grid, u)
-        else:
-            if len(self.pending) == _SNAPSHOTS_IN_FLIGHT:
-                self.pending.popleft().result()
-            # A copy: the executor pickles u later, in its feeder thread.
-            self.pending.append(
-                self.pool.submit(_write_snapshot, self.dir / name, self.grid, u.copy())
-            )
         self.index.append((_fmt(state.t), name))
-        self.matrix_rows.append(np.abs(u.real[:: self.stride]))
+        self.matrix_rows.append(np.abs(state.u.real[:: self.stride]))
+        return partial(_write_snapshot, self.dir / name, self.grid)
 
     def finish(self) -> None:
-        while self.pending:
-            self.pending.popleft().result()
         _write_csv(self.dir / "index.csv", ["t", "filename"], self.index)
         amplitude = np.array(self.matrix_rows)
         _write_table(self.dir.parent / "amplitude.csv", None, amplitude, newline="\n")
@@ -235,15 +194,12 @@ def _execute(
     """Run one configuration, write its outputs, return a summary row.
 
     ``runs_in_flight`` counts the runs executing concurrently with this one
-    (itself included); it decides whether the run has a helper process, and
-    the snapshot stride decides which one (``_WRITER_BELOW_STRIDE``).
+    (itself included); it decides whether the run has a helper process.
     """
     t0 = time.perf_counter()
-    spare = _spare_cpu(runs_in_flight)
-    dense = cfg.snapshot_stride < _WRITER_BELOW_STRIDE
-    with _SnapshotWriter(outdir, cfg.grid, spare and dense) as writer:
-        result = run(cfg, snapshot_callback=writer, second_cpu=spare and not dense)
-        writer.finish()
+    writer = _SnapshotWriter(outdir, cfg.grid)
+    result = run(cfg, snapshot_callback=writer, second_cpu=_spare_cpu(runs_in_flight))
+    writer.finish()
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
     if result.flux_series:
@@ -297,9 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--threads", type=int, default=1,
         help="worker processes for the runs of sweep/repro (default 1); a run "
-             "may add one helper process, a snapshot writer or a solve helper "
-             "that spins on its CPU, when each run in flight has a CPU spare; "
-             "helpers are not counted",
+             "adds one helper process, which writes its snapshot files and "
+             "spins on its CPU to solve half of each step where that pays, "
+             "when each run in flight has a CPU spare; helpers are not counted",
     )
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)

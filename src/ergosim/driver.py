@@ -71,8 +71,8 @@ def _reuse_freed_arrays() -> None:
     faults, with it none.  Steps and energy samples add next to no faults per
     step, with or without it.  These are the largest values glibc's adaptive
     rule reaches on 64-bit, fixed from the start.  The setting is
-    process-wide; every run makes it, in whichever process runs it, and a
-    forked snapshot writer inherits it.
+    process-wide; every run makes it, in whichever process runs it, and the
+    run's forked helper process, which writes its snapshots, inherits it.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -153,9 +153,16 @@ def run(
     energy; window snapshots of u every ``snapshot_stride`` steps when
     requested.  Every sampler also sees t = 0 and t = t_final.  On Linux it
     first fixes glibc's malloc thresholds for the whole process
-    (``_reuse_freed_arrays``).  ``second_cpu`` lets the stepper solve half of
-    each step's system in a helper process that spins on a second CPU
-    (:class:`~ergosim.solver.Stepper`); the helper is stopped before this
+    (``_reuse_freed_arrays``).
+
+    ``snapshot_callback`` is called with each window snapshot's state.  It
+    may return None, or a function of u, such as a file's write, which this
+    runs on the snapshot's u through :meth:`~ergosim.solver.Stepper.call`:
+    in the helper process if there is one, else at once.  ``second_cpu``
+    gives the stepper that helper process, on a second CPU; it runs those
+    functions, and between them solves half of each step's system where
+    that pays.  The functions have all finished when this returns, and a
+    failed one's exception is raised here; the helper is stopped before this
     returns or raises.
     """
     _reuse_freed_arrays()
@@ -174,8 +181,8 @@ def run(
         ws = _restrict(s, window)
         if collect_snapshots:
             snapshots.append((s.t, ws.u.copy()))
-        if snapshot_callback is not None:
-            snapshot_callback(ws)
+        if snapshot_callback is not None and (task := snapshot_callback(ws)) is not None:
+            stepper.call(task, ws.u)
 
     # (stride, sampler): a sampler runs at every step k with k % stride == 0,
     # and at the last step
@@ -199,6 +206,7 @@ def run(
             for stride, sample in schedule:
                 if k % stride == 0 or k == n_steps:
                     sample(state)
+        stepper.wait()
     finally:
         stepper.close()
 

@@ -60,10 +60,13 @@ LAPACK's zgttrf/zgttrs come from the OpenBLAS that numpy's wheels bundle,
 called through ctypes, so a run does not import scipy; with a numpy built
 without it (conda, system packages) they come from scipy.linalg.lapack.
 
-With ``second_cpu``, the solve runs on two CPUs as two overlapping systems
+With ``second_cpu``, a forked helper process runs on a second CPU.  It runs
+the calls handed to it (a snapshot file's write, say) on a copy of u, and
+while it has none, the solve runs on two CPUs as two overlapping systems
 (the partition method of Wang 1981, ACM TOMS 7): rows [0, m+K) and [m-K, n)
 of the matrix, m = n/2, each solved alone, the left one in place and the
-right one by a forked helper process.  Cutting a system at row m+K changes
+right one by the helper; a step taken while the helper runs a call solves
+whole.  Cutting a system at row m+K changes
 the back substitution's value there by |du/d| |x_{m+K}|, and each row above
 shrinks the change by |du/d| again; the right system's first rows change the
 forward elimination by |dl| per row in the same way.  So with rho the largest
@@ -78,6 +81,9 @@ below n = 3000, where it measured no faster.  The bound is on size, not on
 bits; measured, the split solve was ``np.array_equal`` to the whole one at
 every step of whole rn-highenergy and rn-wavepacket runs and of toy runs whose
 packet crosses the cut, and the tests check shortened runs of the three.
+Since one run mixes split and whole steps, every split solve checks the bits
+it can: the rows m-1 .. m+1, which both halves solve, must agree exactly, or
+the step raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ import ctypes
 import math
 import mmap
 import os
+import pickle
+import select
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -289,6 +297,13 @@ class _TridiagLU:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return rhs
 
+    def call(self, fn, u: np.ndarray) -> None:
+        """Run ``fn(u)`` now; see :meth:`_SplitLU.call`."""
+        fn(u)
+
+    def wait(self) -> None:
+        """Nothing runs elsewhere; see :meth:`_SplitLU.wait`."""
+
     def close(self) -> None:
         """Nothing to release; see :meth:`_SplitLU.close`."""
 
@@ -298,8 +313,11 @@ _OVERLAP_BITS = 106
 # The whole solve below this n: a step at n = 1501 measured no faster split,
 # at n = 3001 15 % faster.
 _SPLIT_MIN_N = 3000
-# Bytes of the pipes between a split solve and its helper process.
-_GO, _QUIT, _OK, _FAILED = b"g", b"q", b"k", b"f"
+# Bytes of the pipes between a stepper and its helper process.
+_GO, _CALL, _QUIT, _OK, _FAILED = b"g", b"c", b"q", b"k", b"f"
+# Room for a pickled call or exception in the memory shared with the helper;
+# pages that are never touched take no memory.
+_MESSAGE_BYTES = 1 << 20
 
 
 def _overlap(lu: _TridiagLU) -> int | None:
@@ -323,90 +341,132 @@ def _overlap(lu: _TridiagLU) -> int | None:
 
 
 class _SplitLU:
-    """The solve of ``whole`` on two CPUs, as two overlapping systems.
+    """``whole``'s solve with a helper process on a second CPU, which solves the
+    right half of a step's system whenever it is free and runs the calls
+    handed to it (:meth:`call`) on a copy of u.
 
-    The rows [0, m+K) are solved in place with ``whole``'s leading factors, and
-    the rows [m-K, n) by a helper process, forked at the end of construction,
-    in a shared buffer; the solution is the left system's rows below m and the
-    right system's from m on.  The helper factors its system itself, so the
-    stepping process holds no second set of factors.  The handoff is one byte
-    on each of two non-blocking pipes, and both sides spin on their reads.
-    :meth:`close` stops the helper and reaps it; if it is never called, a
-    finalizer does the same.
+    With an overlap ``k``, the rows [0, m+K) are solved in place with
+    ``whole``'s leading factors, and the rows [m-K, n) by the helper, which
+    factors its system itself, in a shared buffer; the solution is the left
+    system's rows below m and the right system's from m on, and the rows
+    m-1 .. m+1, which both solved, must agree to the bit.  A step solves whole
+    while the helper runs a call, and with ``k`` None always; such a helper
+    only runs calls.  Each request and each answer is one byte on one of two
+    pipes, and the rest goes through shared memory; both sides spin on their
+    reads, except a helper with nothing to split, which blocks.  :meth:`close`
+    stops the helper and reaps it; if it is never called, a finalizer does
+    the same.
     """
 
-    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int):
+    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int | None):
         n, m = whole.n, whole.n // 2
-        self.n, self.k, self._m = n, k, m
+        self.n, self.k, self._m, self._whole = n, k, m, whole
+        self._busy = False  # a call is in flight
         # With no row swap near the cut, the left system's factors are the
-        # first m+K rows of the whole's; copies let the rest of those go.
-        self._fact = tuple(a[: m + k].copy() for a in whole._fact)
-        self._solve_left = _LAPACK.solver(self._fact, m + k)
-        # Shared with the helper (an anonymous mmap is MAP_SHARED), which sees
-        # its first n-m+K values; n long, so that the stepper can use it as
-        # scratch outside solve() instead of a buffer of its own.
-        self.buf = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
-        self._right = self.buf[: n - m + k]
+        # first m+K rows of the whole's.
+        self._solve_left = _LAPACK.solver(whole._fact, m + k) if k else None
+        # Shared with the helper (an anonymous mmap is MAP_SHARED): a pickled
+        # call or exception at the start; then n values that hold the right
+        # system, and serve the stepper as scratch outside solve() instead of
+        # a buffer of its own; then n for a call's copy of u.
+        self._mm = mmap.mmap(-1, _MESSAGE_BYTES + 32 * n)
+        shared = np.frombuffer(self._mm, np.complex128, 2 * n, offset=_MESSAGE_BYTES)
+        self.buf, self._slot, self._right = shared[:n], shared[n:], shared[: n - m + (k or 0)]
+        # This process keeps the go pipe's read end too, so that a request to
+        # a helper that has exited is written all the same, and the read of
+        # its answer meets EOF.
         go, self._go = os.pipe()
         self._done, done = os.pipe()
-        os.set_blocking(go, False)
+        os.set_blocking(go, k is None)
         os.set_blocking(self._done, False)
+        # poll, not select, which cannot watch a descriptor above FD_SETSIZE
+        self._answered = select.poll()
+        self._answered.register(self._done, select.POLLIN)
         owner = os.getpid()
         self.pid = os.fork()
         if self.pid == 0:
             try:
                 os.close(self._go)
                 os.close(self._done)
-                # `right` stays referenced in this frame while _serve's solves
-                # write through raw pointers into it
-                right, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
-                if info != 0:  # answers the first go byte
-                    os.write(done, _FAILED)
-                else:
-                    _serve(go, done, _LAPACK.solver(right, n - m + k), self._right, owner)
+                solve = None
+                if k is not None:
+                    # `right` stays referenced in this frame while _serve's
+                    # solves write through raw pointers into it; a failed
+                    # factorization fails every solve
+                    right, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
+                    solve = _LAPACK.solver(right, n - m + k) if info == 0 else lambda b: info
+                _serve(go, done, solve, self._right, self._slot, self._mm, owner)
             finally:
                 os._exit(0)
-        os.close(go)
         os.close(done)
-        self._stop = weakref.finalize(self, _stop, self.pid, self._go, self._done, owner)
+        self._stop = weakref.finalize(self, _stop, self.pid, (self._go, go, self._done), owner)
+
+    def _send(self, request: bytes) -> None:
+        if not self._stop.alive:  # its pipes are closed, and their numbers free for reuse
+            raise RuntimeError("the solve helper process was stopped by close()")
+        os.write(self._go, request)
+
+    def _answer(self) -> None:
+        """Wait for the answer to the request in flight; a failed request's
+        exception re-raises here."""
+        while True:
+            with contextlib.suppress(BlockingIOError):
+                reply = os.read(self._done, 1)
+                break
+        self._busy = False
+        if not reply:
+            raise RuntimeError("the solve helper process has exited")
+        if reply != _OK:
+            self._mm.seek(0)
+            raise pickle.load(self._mm)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Overwrite ``rhs`` with the solution and return it."""
+        if self._busy and self._answered.poll(0):
+            self._answer()
+        if self._busy or self.k is None:
+            return self._whole.solve(rhs)
         _check_rhs(rhs, self.n)
-        if not self._stop.alive:  # its pipes are closed, and their numbers free for reuse
-            raise RuntimeError("the solve helper process was stopped by close()")
         m, k, buf = self._m, self.k, self._right
         buf[:] = rhs[m - k :]
-        try:
-            os.write(self._go, _GO)
-        except BrokenPipeError:  # the helper has exited; its read below says so
-            pass
+        self._send(_GO)
         info = self._solve_left(rhs)
-        while True:
-            try:
-                reply = os.read(self._done, 1)
-                break
-            except BlockingIOError:
-                continue
-        if reply != _OK:
-            raise RuntimeError(
-                "the solve helper process has exited" if not reply
-                else "tridiagonal factorization or solve failed in the solve helper process"
-            )
+        self._answer()
         if info != 0:  # pragma: no cover
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        if rhs[m - 1 : m + 2].tobytes() != buf[k - 1 : k + 2].tobytes():
+            raise FloatingPointError(f"the split solve's halves differ at row {m} (K = {k})")
         rhs[m:] = buf[k:]
         return rhs
 
+    def call(self, fn, u: np.ndarray) -> None:
+        """Have the helper run ``fn(u)`` on a copy of ``u`` while the caller goes
+        on; ``fn`` must pickle.  First waits for the call before, if in flight."""
+        self.wait()
+        self._slot[: u.size] = u
+        self._mm.seek(0)
+        pickle.dump((fn, u.size), self._mm)
+        self._send(_CALL)
+        self._busy = True
+
+    def wait(self) -> None:
+        """Wait for the call in flight, if any; its exception re-raises here."""
+        if self._busy:
+            self._answer()
+
     def close(self) -> None:
-        """Stop the helper and reap it; idempotent."""
+        """Stop the helper and reap it, after the call in flight; idempotent."""
+        self._busy = False
         self._stop()
 
 
-def _serve(go: int, done: int, solve, buf: np.ndarray, owner: int) -> None:
-    """The helper's loop: solve ``buf`` in place at each go byte and answer on
-    ``done``; return at a quit byte, at EOF (its stepper's process is gone) or
-    when its parent is no longer ``owner``."""
+def _serve(go: int, done: int, solve, right: np.ndarray, slot: np.ndarray,
+           mm: mmap.mmap, owner: int) -> None:
+    """The helper's loop: at a go byte solve ``right`` in place, at a call byte
+    run the call pickled in ``mm`` on ``slot``, and answer each on ``done``, a
+    failure with its exception pickled in ``mm``; return at a quit byte, at
+    EOF (its stepper's process is gone) or when its parent is no longer
+    ``owner``."""
     while True:
         try:
             command = os.read(go, 1)
@@ -415,32 +475,43 @@ def _serve(go: int, done: int, solve, buf: np.ndarray, owner: int) -> None:
             if os.getppid() != owner:
                 return
             continue
-        if command != _GO:
+        if command not in (_GO, _CALL):
             return
-        os.write(done, _OK if solve(buf) == 0 else _FAILED)
+        try:
+            if command == _CALL:
+                mm.seek(0)
+                fn, size = pickle.load(mm)
+                fn(slot[:size])
+            elif solve(right) != 0:
+                raise RuntimeError("factorization or solve failed in the solve helper process")
+            os.write(done, _OK)
+        except Exception as exc:  # one that does not pickle ends the helper
+            mm.seek(0)
+            pickle.dump(exc, mm)
+            os.write(done, _FAILED)
 
 
-def _stop(pid: int, go: int, done: int, owner: int) -> None:
-    """Stop and reap the helper ``pid``; a no-op in a process forked from ``owner``."""
+def _stop(pid: int, fds: tuple[int, ...], owner: int) -> None:
+    """Stop and reap the helper ``pid`` and close this process's pipe ends
+    ``fds``, the first the one requests go to; a no-op in a process forked
+    from ``owner``."""
     if os.getpid() != owner:
         return
-    try:
-        os.write(go, _QUIT)
-    except BrokenPipeError:  # the helper has already exited
-        pass
-    os.close(go)
-    os.close(done)
+    os.write(fds[0], _QUIT)
+    for fd in fds:
+        os.close(fd)
     with contextlib.suppress(ChildProcessError):  # reaped elsewhere (SIGCHLD ignored)
         os.waitpid(pid, 0)
 
 
 def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, second_cpu: bool):
-    """The LU a stepper solves with: split over two CPUs when ``second_cpu``
-    allows it and it pays (:func:`_overlap`, ``_SPLIT_MIN_N``), else whole."""
+    """The LU a stepper solves with: with ``second_cpu``, one with a helper
+    process, which splits the solve where that pays (:func:`_overlap`,
+    ``_SPLIT_MIN_N``); else the whole one alone."""
     whole = _TridiagLU(lower, diag, upper)
-    if not second_cpu or whole.n < _SPLIT_MIN_N or (k := _overlap(whole)) is None:
+    if not second_cpu:
         return whole
-    return _SplitLU(whole, lower, diag, upper, k)
+    return _SplitLU(whole, lower, diag, upper, _overlap(whole) if whole.n >= _SPLIT_MIN_N else None)
 
 
 class Stepper:
@@ -449,10 +520,11 @@ class Stepper:
     ``splitting=None`` resolves automatically: Strang splitting is used exactly
     when the boundary is transparent and P is not identically zero.
 
-    ``second_cpu=True`` splits each step's solve over two CPUs where the grid
-    is large enough and the factors allow it (module docstring): a forked
-    helper process solves half of it, spinning on a CPU of its own between
-    steps.  :meth:`close` stops the helper.
+    ``second_cpu=True`` forks a helper process for a second CPU.  It runs the
+    calls handed to it by :meth:`call`, and between them it solves half of
+    each step's system where the grid is large enough and the factors allow
+    it (module docstring), spinning on its CPU between steps; a step solves
+    whole while a call runs.  :meth:`close` stops the helper.
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).
@@ -555,7 +627,19 @@ class Stepper:
                 vn[-1] -= self._hp_ends[1] * un[-1]
         return FieldState(u=un, v=vn, t=state.t + dt)
 
+    def call(self, fn, u: np.ndarray) -> None:
+        """Run ``fn(u)``: in the helper process, on a copy of ``u``, while
+        stepping goes on, if ``second_cpu`` started one (``fn`` must then
+        pickle), else here and now.  A call waits for the one before it; a
+        failed one's exception re-raises in a later step, call or :meth:`wait`."""
+        self._lu.call(fn, u)
+
+    def wait(self) -> None:
+        """Wait for the helper's call in flight, if any; its exception re-raises here."""
+        self._lu.wait()
+
     def close(self) -> None:
-        """Stop the solve helper process, if ``second_cpu`` started one.
-        Idempotent; a stepper that had a helper cannot step after it."""
+        """Stop the helper process, if ``second_cpu`` started one, after its
+        call in flight.  Idempotent; a stepper whose helper split its solves
+        cannot step after it."""
         self._lu.close()

@@ -553,9 +553,12 @@ print(len(forks))
         """The snapshot formatter frees and allocates blocks of 256 KB and more
         per 1024 rows; malloc must hand the freed memory back rather than new
         pages that fault in (about 390 per snapshot of this toy run)."""
+        # No helper process: this process writes the snapshots itself.
         script = """
 import resource, sys
+from ergosim import cli
 from ergosim.cli import main
+cli._spare_cpu = lambda runs_in_flight: False
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert main(["--output-dir", sys.argv[2], "--quiet", "run", sys.argv[1]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -566,7 +569,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         base = get_preset("toy-smoothing-flux").configs[0]
         faults = []
         for t_final in (40.0, 80.0):  # 11 and 21 snapshots of n = 1501, written inline
-            # a stride not below cli._WRITER_BELOW_STRIDE: this process writes them
             cfg = replace(base, t_final=t_final, snapshot_stride=100)
             path = self.write(tmp_path, serialize_config(cfg), f"t{t_final:g}.ini")
             out = tmp_path / f"out{t_final:g}"

@@ -11,9 +11,9 @@ byte):
   hashes were recorded with the per-cell writer; they depend on the last bits
   of the arithmetic, so a different LAPACK or numpy build may change them.
 
-The snapshot files may be written by a forked writer process; the tests at
-the end check that it writes the same bytes as the inline path and that no
-writer process outlives a run, however the run ends.
+The snapshot files may be written by the run's forked helper process; the
+tests at the end check that it writes the same bytes as the inline path and
+that no helper outlives a run, however the run ends.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import hashlib
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergosim import _float17, cli, driver
+from ergosim import _float17, cli, driver, solver
 from ergosim.cli import _SnapshotWriter, _write_snapshot, _write_table, main
 from ergosim.config import _fmt, load_config, parse_config
 from ergosim.presets import get_preset
@@ -89,7 +90,7 @@ class TestAgainstPerCellWriter:
         writer = _SnapshotWriter(tmp_path / "new", grid)
         snaps = [u0, u0[::-1].copy(), -u0]
         for k, u in enumerate(snaps):
-            writer(FieldState(u=u, v=u, t=0.5 * k))
+            writer(FieldState(u=u, v=u, t=0.5 * k))(u)  # the writer returns the file's write
         writer.finish()
 
         old = tmp_path / "old"
@@ -219,7 +220,7 @@ def test_unsplit_toy_run_output_hashes(tmp_path):
     _assert_run_hashes(tmp_path, GOLDEN_UNSPLIT_INI, GOLDEN_UNSPLIT_SHA256)
 
 
-# --- the snapshot writer process ----------------------------------------------
+# --- snapshots written by the helper process -----------------------------------
 
 
 def _golden(tmp_path: Path) -> Path:
@@ -232,12 +233,19 @@ def _files(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-# Stand-ins for cli._write_snapshot live at module level, so that the executor
-# can pickle them by reference.
+# Stand-ins for cli._write_snapshot live at module level, so that the hand-off
+# to the helper can pickle them by reference.
 
 
 def _failing_write_snapshot(path, grid, u):
     raise OSError("disk full while writing " + Path(path).name)
+
+
+def _last_write_fails(path, grid, u):
+    """Writes every snapshot of the golden run but the last, snap_000004.csv."""
+    if Path(path).name == "snap_000004.csv":
+        raise OSError(28, "No space left on device", str(path))
+    _write_snapshot(path, grid, u)
 
 
 def _pid_logging_write_snapshot(path, grid, u):
@@ -251,10 +259,10 @@ def _pid_logging_write_snapshot(path, grid, u):
 class TestWriterProcess:
     @pytest.fixture(autouse=True)
     def deadline(self):
-        """Fail, rather than hang, a test whose run waits on a lost writer."""
+        """Fail, rather than hang, a test whose run waits on a lost helper."""
 
         def expire(signum, frame):
-            raise TimeoutError("snapshot writer test ran past its deadline")
+            raise TimeoutError("snapshot helper test ran past its deadline")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(60)
@@ -295,14 +303,14 @@ class TestWriterProcess:
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
-        reason="pool workers must inherit the patched writer",
+        reason="pool workers must inherit the patched write",
     )
     def test_pooled_family_writes_the_inline_bytes(self, tmp_path, monkeypatch):
-        """Pool workers that each fork a writer give the bytes of an inline family."""
+        """Pool workers that each fork a helper give the bytes of an inline family."""
         base = load_config(_golden(tmp_path))
         configs = [replace(base, label=f"golden-{k}") for k in range(3)]
         monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
-        # Background exactly when each run is told that two runs are in flight.
+        # A helper exactly when each run is told that two runs are in flight.
         monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: runs_in_flight == 2)
         cli._execute_family(configs, tmp_path / "inline", 1, quiet=True)
         cli._execute_family(configs, tmp_path / "pooled", 2, quiet=True)
@@ -311,7 +319,7 @@ class TestWriterProcess:
         me = str(os.getpid())
         for cfg in configs:
             assert inline.pop(f"{cfg.label}.pids").decode() == f"{me} {os.getppid()}\n" * 5
-            # One writer, forked by the pool worker that ran the run.
+            # One helper, forked by the pool worker that ran the run, wrote them.
             (writer,) = set(pooled.pop(f"{cfg.label}.pids").decode().splitlines())
             assert me not in writer.split()
         # summary.csv differs only in its last column, the wall time.
@@ -333,47 +341,72 @@ class TestWriterProcess:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out" / "snapshots" / "index.csv").exists()
 
-    def test_finish_raises_the_writer_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
-        grid = Grid(x_min=-1.0, x_max=1.0, h=0.2, dt=0.2)
-        u = grid.x + 0j
-        with _SnapshotWriter(tmp_path, grid, background=True) as writer:
-            writer(FieldState(u=u, v=u, t=0.0))  # fails in the writer process
-            with pytest.raises(OSError, match="snap_000000.csv"):
-                writer.finish()
-        assert not (tmp_path / "snapshots" / "index.csv").exists()
-        assert not (tmp_path / "amplitude.csv").exists()
+    def test_a_failed_write_is_raised_before_finish(self, tmp_path, monkeypatch):
+        """The helper's exception comes back pickled and is raised by the run:
+        from a later step or hand-off when the first write fails, and from the
+        run's last wait when the last one does; finish() is never reached."""
+        cfg = load_config(_golden(tmp_path))
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        finished = []
+        monkeypatch.setattr(cli._SnapshotWriter, "finish", lambda self: finished.append(self))
+        for fail, expected in ((_failing_write_snapshot, "snap_000000.csv"),
+                               (_last_write_fails, "snap_000004.csv")):
+            monkeypatch.setattr(cli, "_write_snapshot", fail)
+            out = tmp_path / fail.__name__
+            with pytest.raises(OSError, match=expected) as raised:
+                cli._execute(cfg, out)
+            assert type(raised.value) is OSError
+            assert not (out / "snapshots" / "index.csv").exists()
+            assert not (out / "amplitude.csv").exists()
+        assert raised.value.errno == 28 and raised.value.filename.endswith("snap_000004.csv")
+        assert finished == []
+        assert sorted(p.name for p in (tmp_path / "_last_write_fails" / "snapshots").iterdir()) \
+            == [f"snap_{k:06d}.csv" for k in range(4)]
 
     def test_writer_owns_what_it_is_sent(self, tmp_path):
+        """The helper writes the u it was handed, though the caller overwrites
+        that array right after the hand-off."""
         grid = Grid(x_min=-1.0, x_max=1.0, h=1 / 1500, dt=1 / 1500)
         u = np.exp(1j * grid.x) * (1.0 + grid.x**2)
         expected = tmp_path / "expected.csv"
         _write_snapshot(expected, grid, u)
-        with _SnapshotWriter(tmp_path / "out", grid, background=True) as writer:
+        writer = _SnapshotWriter(tmp_path / "out", grid)
+        off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
+        lu = solver._factor(off, diag, off, second_cpu=True)
+        try:
             for k in range(3):
                 state = FieldState(u=u.copy(), v=u, t=float(k))
-                writer(state)
+                lu.call(writer(state), state.u)
                 state.u[:] = np.nan  # a stepper that reuses its arrays
-            writer.finish()
+            lu.wait()
+        finally:
+            lu.close()
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(lu.pid, os.WNOHANG)
+        writer.finish()
         for k in range(3):
             written = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
             assert written.read_bytes() == expected.read_bytes()
-        assert multiprocessing.active_children() == []
 
     def test_grid_reaches_the_writer_once(self, tmp_path):
-        """The x array is never sent: each hand-off carries u and the run's
-        ``Grid``, from which the writer process computes x."""
+        """The x array is never sent: each hand-off pickles the write, the
+        file's path and the run's ``Grid`` (four numbers), from which the
+        helper computes x, and u goes through shared memory."""
         grid = Grid(x_min=-1.0, x_max=1.0, h=1 / 1500, dt=1 / 1500)
         u = np.exp(1j * grid.x)
-        with _SnapshotWriter(tmp_path, grid, background=True) as writer:
-            sent, submit = [], writer.pool.submit
-            writer.pool.submit = lambda fn, *args: sent.append(args) or submit(fn, *args)
-            for k in range(3):
-                writer(FieldState(u=u, v=u, t=float(k)))
-            writer.finish()
-        handed = [[a.nbytes for a in args if isinstance(a, np.ndarray)] for args in sent]
-        assert handed == [[u.nbytes]] * 3
-        assert all(grid in args for args in sent)
+        writer = _SnapshotWriter(tmp_path, grid)
+        tasks = [writer(FieldState(u=u, v=u, t=float(k))) for k in range(3)]
+        for k, task in enumerate(tasks):
+            assert task.func is cli._write_snapshot
+            assert task.args == (tmp_path / "snapshots" / f"snap_{k:06d}.csv", grid)
+            assert len(pickle.dumps((task, u.size))) < 1000  # u itself is 48 KB
+        off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
+        lu = solver._factor(off, diag, off, second_cpu=True)
+        try:
+            lu.call(tasks[2], u)
+            lu.wait()
+        finally:
+            lu.close()
         expected = tmp_path / "expected.csv"
         _write_snapshot(expected, grid, u)
         assert (tmp_path / "snapshots" / "snap_000002.csv").read_bytes() == expected.read_bytes()
@@ -397,15 +430,16 @@ class TestWriterProcess:
         assert multiprocessing.active_children() == []
 
     def test_writer_forks_before_any_thread(self, tmp_path):
-        """The executor forks its worker before it starts a thread of its own.
+        """The helper that writes the snapshots is forked while the run has
+        one Python thread.
 
         Forking a multi-threaded process is deprecated (and warned about from
-        Python 3.12 on).  This checks only the executor's threads: BLAS pools
+        Python 3.12 on).  This checks only Python's threads: BLAS pools
         are kept to one thread here.  With the default BLAS settings, numpy's
         bundled OpenBLAS, which also serves the stepper's LAPACK calls, starts
         a pool thread at import (two OS threads on two CPUs; scipy's OpenBLAS
         adds one more where the stepper falls back to scipy), and those are
-        alive at the fork: idle, and the writer makes no BLAS call, but Python
+        alive at the fork: idle, and the helper's writes make no BLAS call, but Python
         3.12+ warns about them (a DeprecationWarning, hidden unless enabled
         with ``-W``).
         """
@@ -455,31 +489,22 @@ class TestSpareCpu:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert cli._spare_cpu(1) is False
 
-    @pytest.mark.parametrize(
-        "spare, stride, writer, solve_helper",
-        [
-            (True, 20, True, False),  # GOLDEN_INI's stride
-            (True, cli._WRITER_BELOW_STRIDE - 1, True, False),
-            (True, cli._WRITER_BELOW_STRIDE, False, True),
-            (True, 300, False, True),
-            (False, 20, False, False),
-            (False, cli._WRITER_BELOW_STRIDE, False, False),
-            (False, 300, False, False),
-        ],
-    )
-    def test_the_spare_cpu_goes_to_one_helper(
-        self, tmp_path, monkeypatch, spare, stride, writer, solve_helper
-    ):
-        """Dense snapshots get the writer process, sparse ones the solve helper,
-        and a run without a spare CPU gets neither."""
+    @pytest.mark.parametrize("stride", [20, 99, 100, 300])
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_the_spare_cpu_goes_to_one_helper(self, tmp_path, monkeypatch, spare, stride):
+        """A run with a spare CPU forks one helper, whatever its snapshot
+        stride, and hands it every snapshot's write; a run without one forks
+        nothing and writes its snapshots itself."""
         cfg = replace(load_config(_golden(tmp_path)), snapshot_stride=stride)
         monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: spare)
-        seen, real_run = [], cli.run
-
-        def run(cfg, *, snapshot_callback, second_cpu):
-            seen.append((snapshot_callback.pool is not None, second_cpu))
-            return real_run(cfg, snapshot_callback=snapshot_callback, second_cpu=second_cpu)
-
-        monkeypatch.setattr(cli, "run", run)
+        made, factor = [], solver._factor
+        monkeypatch.setattr(solver, "_factor", lambda *args: made.append(factor(*args)) or made[-1])
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
         cli._execute(cfg, tmp_path / "out")
-        assert seen == [(writer, solve_helper)]
+        (lu,) = made
+        assert len(forks) == spare
+        assert type(lu) is (solver._SplitLU if spare else solver._TridiagLU)
+        writers = set((tmp_path / "out.pids").read_text(encoding="utf-8").splitlines())
+        assert writers == {f"{lu.pid} {os.getpid()}" if spare else f"{os.getpid()} {os.getppid()}"}

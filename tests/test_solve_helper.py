@@ -1,14 +1,18 @@
-"""The solve helper: ``second_cpu`` runs solve the right half of each step's
-tridiagonal system in a forked helper process (``solver._SplitLU``).
+"""The helper process: a ``second_cpu`` run forks one helper
+(``solver._SplitLU``), which writes the run's snapshot files and, while it
+is not writing, solves the right half of each step's tridiagonal system.
 
 Whole runs with and without the helper give equal arrays and equal output
-bytes, on both black-hole runs of the paper and on a toy run whose packet
-crosses the cut, and no helper outlives its run, however the run ends.
+bytes, on both black-hole runs of the paper, on a toy run whose packet
+crosses the cut and on a run whose steps mix split and whole solves; a run
+without a spare CPU forks nothing, a helper with nothing to split does not
+spin, and no helper outlives its run, however the run ends.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -88,6 +92,64 @@ class TestSameResults:
             assert case.data.x0 > 0.0 > case.grid.x[np.argmax(np.abs(without.u))]
 
 
+    def test_a_run_mixes_split_and_whole_steps(self, tmp_path, monkeypatch, made):
+        """Steps taken while the helper writes a snapshot solve whole, the
+        others split, and the run is the run without the helper."""
+        case = replace(_preset("rn-wavepacket", "omega-2.3"), t_final=20.0, snapshot_stride=100)
+        results, real_run = {}, cli.run
+        whole, solve = [], solver._TridiagLU.solve
+        monkeypatch.setattr(solver._TridiagLU, "solve",
+                            lambda self, rhs: whole.append(self) or solve(self, rhs))
+        for helper in (False, True):
+            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: helper)
+            monkeypatch.setattr(
+                cli, "run", lambda cfg, **kw: results.setdefault(helper, real_run(cfg, **kw))
+            )
+            cli._execute(case, tmp_path / str(helper))
+        lone, split = made
+        assert type(split) is solver._SplitLU and split.k == 42
+        whole_steps = whole.count(split._whole)
+        assert whole.count(lone) == case.n_steps
+        assert 0 < whole_steps < case.n_steps  # and the other steps split
+        without, with_helper = (results[h].final_state for h in (False, True))
+        assert np.array_equal(without.u, with_helper.u)
+        assert np.array_equal(without.v, with_helper.v)
+        assert _files(tmp_path / "False") == _files(tmp_path / "True")
+
+    def test_none_spare_forks_nothing(self, tmp_path, monkeypatch, made):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cli._execute(_crossing_toy(), tmp_path / "out")
+        assert forks == []
+        assert [type(lu) for lu in made] == [solver._TridiagLU]
+        assert len(list((tmp_path / "out" / "snapshots").glob("snap_*.csv"))) == 3
+
+
+def _helper_cpu_s(lu: solver._SplitLU) -> float:
+    """The CPU seconds that ``lu``'s helper spends in half a second of idling,
+    read from its rusage when ``close`` reaps it."""
+    time.sleep(0.5)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    lu.close()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
+def test_a_helper_with_nothing_to_split_blocks():
+    """Below the split's crossover the helper only runs calls, so it blocks
+    on its pipe between them instead of spinning; a helper that splits
+    spins, which the same measure sees."""
+    for n, k, idle in ((1001, None, True), (solver._SPLIT_MIN_N, 42, False)):
+        off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
+        lu = solver._factor(off, diag, off, second_cpu=True)
+        assert lu.k == k
+        if idle:
+            assert _helper_cpu_s(lu) < 0.1
+        else:
+            assert _helper_cpu_s(lu) > 0.2
+
+
 def _reaped(pid: int) -> bool:
     """Whether ``pid``, a child of this process, has been waited for."""
     try:
@@ -118,8 +180,8 @@ def _python(script: str, *args: str, **kwargs) -> tuple[subprocess.Popen, str, s
     return proc, out, err
 
 
-# A toy run above the split's crossover, with sparse snapshots, so that a run
-# given a spare CPU gets the solve helper.
+# A toy run above the split's crossover, so that a run given a spare CPU gets
+# a helper that splits its solves as well as writing its two snapshots.
 HELPER_INI = """\
 [model]
 kind = toy
@@ -237,28 +299,31 @@ class TestLifeCycle:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
     def test_helper_ends_with_its_stepper_process(self):
-        """A process that started a helper and leaves by os._exit, calling
-        neither close() nor its finalizer, takes the helper with it."""
+        """A process that started helpers, one that splits and spins and one
+        that only runs calls and blocks, and leaves by os._exit, calling
+        neither close() nor a finalizer, takes both helpers with it."""
         script = """
 import os
 import numpy as np
 from ergosim import solver
 
-n = solver._SPLIT_MIN_N
-off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
-lu = solver._factor(off, diag, off, second_cpu=True)
-assert type(lu) is solver._SplitLU
-x = lu.solve(np.ones(n, dtype=complex))
-print(lu.pid, flush=True)
+for n in (solver._SPLIT_MIN_N, 1001):
+    off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
+    lu = solver._factor(off, diag, off, second_cpu=True)
+    assert (lu.k is None) == (n == 1001)
+    x = lu.solve(np.ones(n, dtype=complex))
+    lu.call(len, x)
+    print(lu.pid, flush=True)
 os._exit(0)
 """
         proc, out, err = _python(script)
         assert proc.returncode == 0, err
-        helper = int(out)
+        helpers = [int(pid) for pid in out.split()]
+        assert len(helpers) == 2
         deadline = time.monotonic() + 1.0
-        while _running(helper) and time.monotonic() < deadline:
+        while any(map(_running, helpers)) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not _running(helper)
+        assert not any(map(_running, helpers))
 
     def test_helper_forks_before_any_thread(self, tmp_path):
         """The helper is forked while the run has one Python thread (BLAS

@@ -440,16 +440,17 @@ class TestSplitSolve:
         g, pp, bc, _ = _kernel_case("rn-transparent-split")
         assert g.n < solver._SPLIT_MIN_N
         stepper = Stepper(g, pp, bc, second_cpu=True)
-        assert type(stepper._lu) is solver._TridiagLU
-        assert solver._overlap(stepper._lu) is not None  # the size alone decides
+        assert stepper._lu.k is None  # a helper that only runs calls
+        assert solver._overlap(stepper._lu._whole) is not None  # the size alone decides
         stepper.close()
 
     def test_whole_solve_when_the_overlap_exceeds_a_quarter(self):
         # the second difference: its factors decay like i/(i+1), so rho -> 1
         n = 2 * solver._SPLIT_MIN_N
         lu = solver._factor(*_tridiag(n, diag=2.0, off=-1.0), second_cpu=True)
-        assert type(lu) is solver._TridiagLU
-        assert solver._overlap(lu) is None
+        assert lu.k is None
+        assert solver._overlap(lu._whole) is None
+        lu.close()
         # off = -0.9 d, with d = 2 / 1.81 the pivots' limit, gives rho = 0.9
         # and K = 698 <= n/4: the split stands
         lu = solver._factor(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81), second_cpu=True)
@@ -490,6 +491,25 @@ class TestSplitSolve:
             rhs = _random_state(g.n, seed).u
             assert np.array_equal(split._lu.solve(rhs.copy()), whole._lu.solve(rhs.copy()))
         split.close()
+
+    def test_halves_that_differ_are_a_numerical_failure(self):
+        """The rows m-1 .. m+1, which both halves solve, are compared bit for
+        bit: an overlap of 2 rows where the factors need 42 makes them differ."""
+        n = solver._SPLIT_MIN_N
+        lower, diag, upper = _tridiag(n)
+        lu = solver._TridiagLU(lower, diag, upper)
+        assert solver._overlap(lu) == 42
+        rhs = np.cos(np.arange(n) / 7.0) + 0j
+        for k, differ in ((42, False), (2, True)):
+            split = solver._SplitLU(lu, lower, diag, upper, k)
+            try:
+                if differ:
+                    with pytest.raises(FloatingPointError, match=f"differ at row {n // 2}"):
+                        split.solve(rhs.copy())
+                else:
+                    assert np.array_equal(split.solve(rhs.copy()), lu.solve(rhs.copy()))
+            finally:
+                split.close()
 
     def test_split_solve_refuses_what_lapack_would_overrun(self):
         lu = solver._factor(*_tridiag(solver._SPLIT_MIN_N), second_cpu=True)
