@@ -22,11 +22,13 @@ configuration reproduces the gain/energy/snapshot files byte for byte.
 Sweep summaries additionally record wall time, which is not reproducible.
 
 When a CPU is spare (at least two per run in flight, and the platform can
-fork), a run gives it to one forked helper process.  The helper formats and
-writes each snapshot file from a copy of the field while the run keeps
-stepping, and between files it solves half of each step's tridiagonal system
-where that pays, spinning on its CPU; a step solves whole while the helper
-writes.  The files and their bytes are the same with or without the helper.
+fork; ``driver.run`` decides, told how many runs are in flight), a run gives
+it to one forked helper process.  The helper formats and writes each
+snapshot file from a copy of the field while the run keeps stepping, and
+between files it solves half of each step's tridiagonal system where that
+pays, spinning on its CPU but yielding it to any other process that wants
+it; a step solves whole while the helper writes.  The files and their bytes
+are the same with or without the helper.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 1 unexpected error.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import multiprocessing
 import os
 import sys
 import time
@@ -101,19 +102,6 @@ def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
     # scalar abs(complex) by one ulp, and the snapshot bytes would change.
     table = np.column_stack((grid.x, u.real, u.imag, np.hypot(u.real, u.imag)))
     _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
-
-
-def _spare_cpu(runs_in_flight: int) -> bool:
-    """Whether each of ``runs_in_flight`` concurrent runs can give one helper
-    process a CPU of its own (a forked process; needs the "fork" start
-    method)."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return cpus >= 2 * runs_in_flight
 
 
 class _SnapshotWriter:
@@ -194,11 +182,12 @@ def _execute(
     """Run one configuration, write its outputs, return a summary row.
 
     ``runs_in_flight`` counts the runs executing concurrently with this one
-    (itself included); it decides whether the run has a helper process.
+    (itself included); ``driver.run`` decides from it whether the run has a
+    helper process.
     """
     t0 = time.perf_counter()
     writer = _SnapshotWriter(outdir, cfg.grid)
-    result = run(cfg, snapshot_callback=writer, second_cpu=_spare_cpu(runs_in_flight))
+    result = run(cfg, snapshot_callback=writer, runs_in_flight=runs_in_flight)
     writer.finish()
     _write_run(result, outdir)
     wall = time.perf_counter() - t0
@@ -254,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         "--threads", type=int, default=1,
         help="worker processes for the runs of sweep/repro (default 1); a run "
              "adds one helper process, which writes its snapshot files and "
-             "spins on its CPU to solve half of each step where that pays, "
-             "when each run in flight has a CPU spare; helpers are not counted",
+             "spins on its CPU (yielding it to other processes) to solve half "
+             "of each step where that pays, when each run in flight has a CPU "
+             "spare; helpers are not counted",
     )
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)

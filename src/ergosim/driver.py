@@ -13,6 +13,7 @@ the result is drop-in comparable with a small-domain run.
 from __future__ import annotations
 
 import ctypes
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -71,8 +72,9 @@ def _reuse_freed_arrays() -> None:
     faults, with it none.  Steps and energy samples add next to no faults per
     step, with or without it.  These are the largest values glibc's adaptive
     rule reaches on 64-bit, fixed from the start.  The setting is
-    process-wide; every run makes it, in whichever process runs it, and the
-    run's forked helper process, which writes its snapshots, inherits it.
+    process-wide, like the CPUs :func:`_spare_cpu` counts; every run makes
+    it, in whichever process runs it, and the run's forked helper process,
+    which writes its snapshots, inherits it.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -83,6 +85,17 @@ def _reuse_freed_arrays() -> None:
     # ctypes passes Python ints as C int and reads an int back, mallopt's types
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _spare_cpu(runs_in_flight: int) -> bool:
+    """Whether each of ``runs_in_flight`` concurrent runs can give a helper
+    process a CPU of its own: at least two usable CPUs per run in flight, on
+    a platform with ``os.fork``, which the stepper starts the helper with."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus >= 2 * runs_in_flight
 
 
 def _reference_grid(cfg: SimConfig) -> tuple[Grid, slice]:
@@ -143,7 +156,7 @@ def run(
     *,
     collect_snapshots: bool = False,
     snapshot_callback=None,
-    second_cpu: bool = False,
+    runs_in_flight: int = 1,
 ) -> RunResult:
     """Advance the configured problem from t = 0 to t = t_final.
 
@@ -155,14 +168,16 @@ def run(
     first fixes glibc's malloc thresholds for the whole process
     (``_reuse_freed_arrays``).
 
+    When a CPU is spare (:func:`_spare_cpu`: two usable CPUs for each of the
+    ``runs_in_flight`` runs the caller runs at once, this one included), the
+    stepper forks a helper process for it, which solves half of each step's
+    system where that pays and runs the functions below.
     ``snapshot_callback`` is called with each window snapshot's state.  It
     may return None, or a function of u, such as a file's write, which this
     runs on the snapshot's u through :meth:`~ergosim.solver.Stepper.call`:
-    in the helper process if there is one, else at once.  ``second_cpu``
-    gives the stepper that helper process, on a second CPU; it runs those
-    functions, and between them solves half of each step's system where
-    that pays.  The functions have all finished when this returns, and a
-    failed one's exception is raised here; the helper is stopped before this
+    in the helper process if there is one, so it must then pickle, else at
+    once.  The functions have all finished when this returns, and a failed
+    one's exception is raised here; the helper is stopped before this
     returns or raises.
     """
     _reuse_freed_arrays()
@@ -189,7 +204,7 @@ def run(
     schedule = [(1, probe.sample) for probe in probes]
     schedule += [(cfg.energy_stride, sample_energy), (cfg.snapshot_stride, sample_snapshot)]
 
-    stepper = Stepper(setup.grid, setup.pp, setup.bc, second_cpu=second_cpu)
+    stepper = Stepper(setup.grid, setup.pp, setup.bc, second_cpu=_spare_cpu(runs_in_flight))
     state = setup.state
     n_steps = cfg.n_steps
     try:

@@ -353,9 +353,9 @@ class _SplitLU:
     while the helper runs a call, and with ``k`` None always; such a helper
     only runs calls.  Each request and each answer is one byte on one of two
     pipes, and the rest goes through shared memory; both sides spin on their
-    reads, except a helper with nothing to split, which blocks.  :meth:`close`
-    stops the helper and reaps it; if it is never called, a finalizer does
-    the same.
+    reads, yielding the CPU after each empty one, except a helper with
+    nothing to split, which blocks.  :meth:`close` stops the helper and
+    reaps it; if it is never called, a finalizer does the same.
     """
 
     def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int | None):
@@ -413,6 +413,7 @@ class _SplitLU:
             with contextlib.suppress(BlockingIOError):
                 reply = os.read(self._done, 1)
                 break
+            os.sched_yield()  # to the helper, should it share this CPU
         self._busy = False
         if not reply:
             raise RuntimeError("the solve helper process has exited")
@@ -471,9 +472,12 @@ def _serve(go: int, done: int, solve, right: np.ndarray, slot: np.ndarray,
         try:
             command = os.read(go, 1)
         except BlockingIOError:
-            # spin: a blocking read would wait for an idle CPU to wake up
+            # spin: a blocking read would wait for an idle CPU to wake up; the
+            # yield gives the CPU to any other runnable process, so that runs
+            # that share CPUs with their helpers do not starve one another
             if os.getppid() != owner:
                 return
+            os.sched_yield()
             continue
         if command not in (_GO, _CALL):
             return
@@ -523,8 +527,10 @@ class Stepper:
     ``second_cpu=True`` forks a helper process for a second CPU.  It runs the
     calls handed to it by :meth:`call`, and between them it solves half of
     each step's system where the grid is large enough and the factors allow
-    it (module docstring), spinning on its CPU between steps; a step solves
-    whole while a call runs.  :meth:`close` stops the helper.
+    it (module docstring), spinning on its CPU between steps (yielding it to
+    any other runnable process); a step solves whole while a call runs.
+    :meth:`close` stops the helper.  ``driver.run`` sets ``second_cpu`` by
+    its spare-CPU rule (``driver._spare_cpu``).
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).

@@ -556,9 +556,9 @@ print(len(forks))
         # No helper process: this process writes the snapshots itself.
         script = """
 import resource, sys
-from ergosim import cli
+from ergosim import driver
 from ergosim.cli import main
-cli._spare_cpu = lambda runs_in_flight: False
+driver._spare_cpu = lambda runs_in_flight: False
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert main(["--output-dir", sys.argv[2], "--quiet", "run", sys.argv[1]]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)

@@ -270,7 +270,7 @@ class TestWriterProcess:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    def test_background_writes_the_inline_bytes(self, tmp_path, monkeypatch):
+    def test_background_writes_the_inline_bytes(self, tmp_path, monkeypatch, made, reaped):
         """On the golden run, and on a reference-mode run, which steps on an
         enlarged grid while its snapshots hold the configured one."""
         (reference,) = (c for c in get_preset("free-wave-bc").configs if c.label == "reference")
@@ -283,7 +283,7 @@ class TestWriterProcess:
         for source, cfg in configs.items():
             pids = {}
             for background in (False, True):
-                monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: background)
+                monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: background)
                 cli._execute(cfg, tmp_path / source / str(background))
                 pid_log = tmp_path / source / f"{background}.pids"
                 pids[background] = set(pid_log.read_text(encoding="utf-8").splitlines())
@@ -299,22 +299,41 @@ class TestWriterProcess:
                 rows = inline[name].decode().splitlines()[1:]
                 assert [row.split(",", 1)[0] for row in rows] == x_column, (source, name)
             assert inline == _files(tmp_path / source / "True"), source
-        assert multiprocessing.active_children() == []
+        helpers = [lu for lu in made if type(lu) is solver._SplitLU]
+        assert len(helpers) == len(configs)
+        assert all(reaped(lu.pid) for lu in helpers)
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
         reason="pool workers must inherit the patched write",
     )
-    def test_pooled_family_writes_the_inline_bytes(self, tmp_path, monkeypatch):
-        """Pool workers that each fork a helper give the bytes of an inline family."""
+    def test_pooled_family_writes_the_inline_bytes(self, tmp_path, monkeypatch, made, reaped):
+        """Pool workers that each fork a helper give the bytes of an inline
+        family, and each reaps its helper before its run returns."""
         base = load_config(_golden(tmp_path))
         configs = [replace(base, label=f"golden-{k}") for k in range(3)]
         monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
         # A helper exactly when each run is told that two runs are in flight.
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: runs_in_flight == 2)
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: runs_in_flight == 2)
+        log, real_run = tmp_path / "reaped.log", cli.run
+
+        def run(cfg, **kwargs):
+            """The run; then, in the process that ran it (a forked pool worker
+            inherits this patch and its own copy of ``made``), one line per
+            helper: its pid, and whether it was reaped when the run returned."""
+            try:
+                return real_run(cfg, **kwargs)
+            finally:
+                with log.open("a", encoding="utf-8") as fh:
+                    fh.writelines(f"{lu.pid} {reaped(lu.pid)}\n"
+                                  for lu in made if type(lu) is solver._SplitLU)
+                made.clear()
+
+        monkeypatch.setattr(cli, "run", run)
         cli._execute_family(configs, tmp_path / "inline", 1, quiet=True)
         cli._execute_family(configs, tmp_path / "pooled", 2, quiet=True)
-        assert multiprocessing.active_children() == []
+        helpers = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+        assert list(helpers.values()) == ["True"] * len(configs)
         inline, pooled = _files(tmp_path / "inline"), _files(tmp_path / "pooled")
         me = str(os.getpid())
         for cfg in configs:
@@ -322,6 +341,7 @@ class TestWriterProcess:
             # One helper, forked by the pool worker that ran the run, wrote them.
             (writer,) = set(pooled.pop(f"{cfg.label}.pids").decode().splitlines())
             assert me not in writer.split()
+            assert writer.split()[0] in helpers
         # summary.csv differs only in its last column, the wall time.
         inline_rows, pooled_rows = (
             [row.rsplit(",", 1)[0] for row in tree.pop("summary.csv").decode().splitlines()]
@@ -332,13 +352,14 @@ class TestWriterProcess:
         assert len(inline) == 3 * len(GOLDEN_SHA256)
         assert inline == pooled
 
-    def test_writer_error_is_raised_not_hung(self, tmp_path, monkeypatch):
+    def test_writer_error_is_raised_not_hung(self, tmp_path, monkeypatch, made, reaped):
         cfg = load_config(_golden(tmp_path))
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
         with pytest.raises(OSError, match="disk full while writing snap_"):
             cli._execute(cfg, tmp_path / "out")
-        assert multiprocessing.active_children() == []
+        (lu,) = made
+        assert reaped(lu.pid)
         assert not (tmp_path / "out" / "snapshots" / "index.csv").exists()
 
     def test_a_failed_write_is_raised_before_finish(self, tmp_path, monkeypatch):
@@ -346,7 +367,7 @@ class TestWriterProcess:
         from a later step or hand-off when the first write fails, and from the
         run's last wait when the last one does; finish() is never reached."""
         cfg = load_config(_golden(tmp_path))
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         finished = []
         monkeypatch.setattr(cli._SnapshotWriter, "finish", lambda self: finished.append(self))
         for fail, expected in ((_failing_write_snapshot, "snap_000000.csv"),
@@ -411,7 +432,7 @@ class TestWriterProcess:
         _write_snapshot(expected, grid, u)
         assert (tmp_path / "snapshots" / "snap_000002.csv").read_bytes() == expected.read_bytes()
 
-    def test_numerical_failure_leaves_no_writer(self, tmp_path, monkeypatch, capsys):
+    def test_numerical_failure_leaves_no_writer(self, tmp_path, monkeypatch, capsys, made, reaped):
         original = Stepper.step
         counter = {"n": 0}
 
@@ -423,11 +444,12 @@ class TestWriterProcess:
             return out
 
         monkeypatch.setattr(Stepper, "step", poisoned)
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: True)
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         args = ["--output-dir", str(tmp_path / "out"), "--quiet", "run", str(_golden(tmp_path))]
         assert main(args) == 3
         assert "step 3" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        (lu,) = made
+        assert reaped(lu.pid)
 
     def test_writer_forks_before_any_thread(self, tmp_path):
         """The helper that writes the snapshots is forked while the run has
@@ -446,12 +468,12 @@ class TestWriterProcess:
         script = """
 import os, sys, threading
 from pathlib import Path
-from ergosim import cli
+from ergosim import cli, driver
 from ergosim.config import load_config
 
 at_fork = []
 os.register_at_fork(before=lambda: at_fork.append(threading.active_count()))
-cli._spare_cpu = lambda runs_in_flight: True
+driver._spare_cpu = lambda runs_in_flight: True
 cfg = load_config(Path(sys.argv[1]))
 for k in range(2):
     cli._execute(cfg, Path(sys.argv[2]) / str(k))
@@ -470,35 +492,37 @@ assert at_fork == [1, 1], at_fork
 
 
 class TestSpareCpu:
+    """The spare-CPU rule (``driver._spare_cpu``), which ``driver.run``
+    applies to every run, and which process writes a command-line run's
+    snapshots."""
+
     @pytest.mark.parametrize(
         "cpus, runs_in_flight, background",
         [(1, 1, False), (2, 1, True), (2, 2, False), (4, 2, True), (3, 2, False)],
     )
     def test_rule(self, monkeypatch, cpus, runs_in_flight, background):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert cli._spare_cpu(runs_in_flight) is background
+        assert driver._spare_cpu(runs_in_flight) is background
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert cli._spare_cpu(1) is True
-        assert cli._spare_cpu(2) is False
+        assert driver._spare_cpu(1) is True
+        assert driver._spare_cpu(2) is False
 
     def test_no_fork_means_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert cli._spare_cpu(1) is False
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert driver._spare_cpu(1) is False
 
     @pytest.mark.parametrize("stride", [20, 99, 100, 300])
     @pytest.mark.parametrize("spare", [True, False])
-    def test_the_spare_cpu_goes_to_one_helper(self, tmp_path, monkeypatch, spare, stride):
+    def test_the_spare_cpu_goes_to_one_helper(self, tmp_path, monkeypatch, made, spare, stride):
         """A run with a spare CPU forks one helper, whatever its snapshot
         stride, and hands it every snapshot's write; a run without one forks
         nothing and writes its snapshots itself."""
         cfg = replace(load_config(_golden(tmp_path)), snapshot_stride=stride)
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: spare)
-        made, factor = [], solver._factor
-        monkeypatch.setattr(solver, "_factor", lambda *args: made.append(factor(*args)) or made[-1])
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: spare)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)

@@ -1,17 +1,21 @@
-"""The helper process: a ``second_cpu`` run forks one helper
-(``solver._SplitLU``), which writes the run's snapshot files and, while it
-is not writing, solves the right half of each step's tridiagonal system.
+"""The helper process: a run with a spare CPU (``driver._spare_cpu``) forks
+one helper (``solver._SplitLU``), which writes the run's snapshot files and,
+while it is not writing, solves the right half of each step's tridiagonal
+system.
 
 Whole runs with and without the helper give equal arrays and equal output
 bytes, on both black-hole runs of the paper, on a toy run whose packet
-crosses the cut and on a run whose steps mix split and whole solves; a run
+crosses the cut and on a run whose steps mix split and whole solves; a
+library run takes the helper by the same rule as a command-line run, a run
 without a spare CPU forks nothing, a helper with nothing to split does not
-spin, and no helper outlives its run, however the run ends.
+spin, two runs with helpers that share two CPUs do not starve each other,
+and no helper outlives its run, however the run ends.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import resource
 import signal
 import subprocess
@@ -24,7 +28,7 @@ import numpy as np
 import pytest
 
 import ergosim as es
-from ergosim import cli, solver
+from ergosim import cli, driver, solver
 from ergosim.driver import run
 from ergosim.presets import get_preset
 
@@ -55,14 +59,6 @@ def _crossing_toy() -> es.SimConfig:
     )
 
 
-@pytest.fixture
-def made(monkeypatch):
-    """Every LU that a stepper builds, in order."""
-    lus, factor = [], solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda *args: lus.append(factor(*args)) or lus[-1])
-    return lus
-
-
 class TestSameResults:
     @pytest.mark.parametrize(
         "case",
@@ -77,7 +73,7 @@ class TestSameResults:
     def test_run_with_the_helper_is_the_run_without(self, case, tmp_path, monkeypatch, made):
         results, real_run = {}, cli.run
         for helper in (False, True):
-            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: helper)
+            monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: helper)
             monkeypatch.setattr(
                 cli, "run", lambda cfg, **kw: results.setdefault(helper, real_run(cfg, **kw))
             )
@@ -101,7 +97,7 @@ class TestSameResults:
         monkeypatch.setattr(solver._TridiagLU, "solve",
                             lambda self, rhs: whole.append(self) or solve(self, rhs))
         for helper in (False, True):
-            monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: helper)
+            monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: helper)
             monkeypatch.setattr(
                 cli, "run", lambda cfg, **kw: results.setdefault(helper, real_run(cfg, **kw))
             )
@@ -117,13 +113,57 @@ class TestSameResults:
         assert _files(tmp_path / "False") == _files(tmp_path / "True")
 
     def test_none_spare_forks_nothing(self, tmp_path, monkeypatch, made):
-        monkeypatch.setattr(cli, "_spare_cpu", lambda runs_in_flight: False)
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: False)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         cli._execute(_crossing_toy(), tmp_path / "out")
         assert forks == []
         assert [type(lu) for lu in made] == [solver._TridiagLU]
         assert len(list((tmp_path / "out" / "snapshots").glob("snap_*.csv"))) == 3
+
+
+class TestLibraryDefault:
+    """``driver.run(cfg)`` with no keyword takes the helper by the rule that
+    command-line runs follow, ``driver._spare_cpu``: here on two usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def test_a_spare_cpu_forks_one_helper(self, made, forks, reaped):
+        assert driver._spare_cpu(1)
+        run(_crossing_toy())
+        (lu,) = made
+        assert forks == [1]
+        assert type(lu) is solver._SplitLU and lu.k == 42
+        assert reaped(lu.pid)
+
+    def test_two_runs_in_flight_fork_none(self, made, forks):
+        assert not driver._spare_cpu(2)
+        run(_crossing_toy(), runs_in_flight=2)
+        assert forks == []
+        assert [type(lu) for lu in made] == [solver._TridiagLU]
+
+    def test_the_default_run_is_the_run_without_a_helper(self, made):
+        default, without = run(_crossing_toy()), run(_crossing_toy(), runs_in_flight=2)
+        assert [type(lu) for lu in made] == [solver._SplitLU, solver._TridiagLU]
+        assert np.array_equal(default.final_state.u, without.final_state.u)
+        assert np.array_equal(default.final_state.v, without.final_state.v)
+
+    def test_a_call_that_cannot_pickle_is_raised(self, made, reaped):
+        """With a helper, the function a snapshot callback returns is pickled
+        to it; a lambda cannot be, and the run raises and reaps its helper."""
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            run(_crossing_toy(), snapshot_callback=lambda state: lambda u: None)
+        (lu,) = made
+        assert type(lu) is solver._SplitLU
+        assert reaped(lu.pid)
 
 
 def _helper_cpu_s(lu: solver._SplitLU) -> float:
@@ -150,13 +190,66 @@ def test_a_helper_with_nothing_to_split_blocks():
             assert _helper_cpu_s(lu) > 0.2
 
 
-def _reaped(pid: int) -> bool:
-    """Whether ``pid``, a child of this process, has been waited for."""
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+# Pins itself to the CPUs argv[1], prepares a shortened rn-highenergy
+# omega = 100 run (n = 20001, 1000 steps), says "ready", and at a line on
+# stdin runs it through driver.run with argv[2] runs in flight; prints the
+# monotonic clock, which all processes share, at the run's start and end.
+PAIR_SCRIPT = """
+import os, sys, time
+from dataclasses import replace
+from ergosim.driver import run
+from ergosim.presets import get_preset
+
+os.sched_setaffinity(0, [int(cpu) for cpu in sys.argv[1].split(",")])
+(cfg,) = (c for c in get_preset("rn-highenergy").configs if c.label == "omega-100")
+cfg = replace(cfg, t_final=5.0)
+print("ready", flush=True)
+sys.stdin.readline()
+start = time.monotonic()
+run(cfg, runs_in_flight=int(sys.argv[2]))
+print(start, time.monotonic())
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="pins two runs to two CPUs",
+)
+def test_two_runs_with_helpers_on_two_cpus_do_not_starve():
+    """Two runs that each take a helper, on the same two CPUs, so that four
+    processes share them: each waiting side yields its CPU, so the pair
+    takes less than twice as long as the same pair without helpers (without
+    the yields, 3 to 11 times as long)."""
+    cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))[:2]))
+
+    def pair(runs_in_flight: int) -> float:
+        """The wall time of two such runs started together."""
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", PAIR_SCRIPT, cpus, str(runs_in_flight)], env=_env(),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for proc in procs:  # both have imported and prepared
+                assert proc.stdout.readline() == "ready\n", proc.communicate()[1]
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            spans = []
+            for proc in procs:
+                out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+                spans.append([float(t) for t in out.split()])
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        return max(end for _, end in spans) - min(start for start, _ in spans)
+
+    with_helpers, without = pair(1), pair(2)
+    assert with_helpers < 2.0 * without, (with_helpers, without)
 
 
 def _running(pid: int) -> bool:
@@ -168,13 +261,19 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
-def _python(script: str, *args: str, **kwargs) -> tuple[subprocess.Popen, str, str]:
-    """Run ``script`` to its end; the finished process, its stdout and stderr."""
+def _env() -> dict[str, str]:
+    """The environment of a Python child: this source tree first on its path,
+    and BLAS pools of one thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def _python(script: str, *args: str, **kwargs) -> tuple[subprocess.Popen, str, str]:
+    """Run ``script`` to its end; the finished process, its stdout and stderr."""
     with subprocess.Popen(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", script, *args],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
     ) as proc:
         out, err = proc.communicate(timeout=120)
     return proc, out, err
@@ -218,7 +317,7 @@ smoothing = 1
 CLI_SCRIPT = """
 import sys
 import numpy as np
-from ergosim import cli, solver
+from ergosim import cli, driver, solver
 from ergosim.solver import Stepper
 
 ini, out, fault = sys.argv[1:4]
@@ -234,7 +333,7 @@ def step(self, state):
     return state
 
 Stepper.step = step
-cli._spare_cpu = lambda runs_in_flight: True
+driver._spare_cpu = lambda runs_in_flight: True
 factor = solver._factor
 
 def logged(*args):
@@ -261,22 +360,24 @@ class TestLifeCycle:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    def test_reaped_after_a_run(self, made):
-        run(_crossing_toy(), second_cpu=True)
+    def test_reaped_after_a_run(self, monkeypatch, made, reaped):
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
+        run(_crossing_toy())
         (lu,) = made
         assert type(lu) is solver._SplitLU
-        assert _reaped(lu.pid)
+        assert reaped(lu.pid)
 
-    def test_reaped_after_a_snapshot_callback_raises(self, made):
+    def test_reaped_after_a_snapshot_callback_raises(self, monkeypatch, made, reaped):
         def callback(state):
             if state.t > 0.0:
                 raise OSError("disk full")
 
+        monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         with pytest.raises(OSError, match="disk full"):
-            run(_crossing_toy(), snapshot_callback=callback, second_cpu=True)
+            run(_crossing_toy(), snapshot_callback=callback)
         (lu,) = made
         assert type(lu) is solver._SplitLU
-        assert _reaped(lu.pid)
+        assert reaped(lu.pid)
 
     @pytest.mark.parametrize(
         "fault, code", [("none", 0), ("raise", 1), ("bad-config", 2), ("inf", 3)]
@@ -331,12 +432,12 @@ os._exit(0)
         script = """
 import os, sys, threading
 from pathlib import Path
-from ergosim import cli, solver
+from ergosim import cli, driver, solver
 from ergosim.config import load_config
 
 at_fork = []
 os.register_at_fork(before=lambda: at_fork.append(threading.active_count()))
-cli._spare_cpu = lambda runs_in_flight: True
+driver._spare_cpu = lambda runs_in_flight: True
 made, factor = [], solver._factor
 solver._factor = lambda *args: made.append(factor(*args)) or made[-1]
 cli._execute(load_config(Path(sys.argv[1])), Path(sys.argv[2]))
