@@ -170,8 +170,11 @@ def run(
 
     When a CPU is spare (:func:`_spare_cpu`: two usable CPUs for each of the
     ``runs_in_flight`` runs the caller runs at once, this one included), the
-    stepper forks a helper process for it, which solves half of each step's
-    system where that pays and runs the functions below.
+    stepper gets a helper process for it, which steps half of each step's
+    rows where that pays and runs the functions below; it is forked only
+    where it can get work.  ``final_state`` is a copy; every sampler reads or
+    copies the state it is given at once, since a stepper with a helper
+    overwrites its states two steps on.
     ``snapshot_callback`` is called with each window snapshot's state.  It
     may return None, or a function of u, such as a file's write, which this
     runs on the snapshot's u through :meth:`~ergosim.solver.Stepper.call`:
@@ -236,5 +239,6 @@ def run(
         energies=energies,
         zone_gain=zone_gain,
         snapshots=snapshots,
-        final_state=_restrict(state, window),
+        # a copy: a stepper with a helper steps in arrays of its own
+        final_state=FieldState(u=state.u[window].copy(), v=state.v[window].copy(), t=state.t),
     )

@@ -47,12 +47,14 @@ unchanged bit for bit.
 
 Stability requires the CFL ratio dt/h <= 1, enforced at grid construction.
 
-A step allocates only its two outputs: the right-hand side is built in a fresh
-array that the LAPACK solve overwrites with U^{n+1}, V^{n+1} is formed in
-place in a second fresh array, and every other intermediate goes to scratch
-buffers the :class:`Stepper` allocates once.  The operations and their order
-are those of the expressions above, so results are bit-identical to evaluating
-them with temporaries.  Returned states alias neither their input nor the
+One kernel takes every step, over a band of rows: the right-hand side's
+rows, built in an array that the LAPACK solve overwrites with their U^{n+1},
+then V^{n+1} on the rows the band keeps, formed in place in its output, and
+every other intermediate in scratch buffers the :class:`Stepper` allocates
+once.  A whole step is the band of all rows.  The operations and their order
+are those of the expressions above, so results are bit-identical to
+evaluating them with temporaries.  Without a helper that splits, a step
+allocates only its two outputs, which alias neither its input nor the
 scratch buffers, so callers may keep old states; the scratch makes a
 ``Stepper`` non-reentrant (one step at a time per instance).
 
@@ -62,11 +64,18 @@ without it (conda, system packages) they come from scipy.linalg.lapack.
 
 With ``second_cpu``, a forked helper process runs on a second CPU.  It runs
 the calls handed to it (a snapshot file's write, say) on a copy of u, and
-while it has none, the solve runs on two CPUs as two overlapping systems
-(the partition method of Wang 1981, ACM TOMS 7): rows [0, m+K) and [m-K, n)
-of the matrix, m = n/2, each solved alone, the left one in place and the
-right one by the helper; a step taken while the helper runs a call solves
-whole.  Cutting a system at row m+K changes
+while it has none, each step runs on two CPUs, its solve as two overlapping
+systems (the partition method of Wang 1981, ACM TOMS 7): rows [0, m+K) and
+[m-K, n) of the matrix, m = n/2, each solved alone.  u and v then live in
+two ping-pong pairs in memory shared with the helper; a step reads pair p
+and writes pair 1 - p.  The stepper builds the right-hand side's rows
+[0, m+K) in a scratch array of its own, solves them with the whole matrix's
+leading factors and writes the rows [0, m) of u and v; the helper builds
+the rows [m-K, n) in its own array, solves them with factors of its own and
+writes the rows [m, n).  Each reads the K+1 values of u (K of v) past the
+cut that it needs straight from pair p.  A step taken while the helper runs a
+call, or from a state that is not one of the pairs (the first one, a
+caller's), is taken whole, into a pair.  Cutting a system at row m+K changes
 the back substitution's value there by |du/d| |x_{m+K}|, and each row above
 shrinks the change by |du/d| again; the right system's first rows change the
 forward elimination by |dl| per row in the same way.  So with rho the largest
@@ -80,7 +89,8 @@ is kept off when K > n/4, when zgttrf swapped a row within K of the cut, and
 below n = 3000, where it measured no faster.  The bound is on size, not on
 bits; measured, the split solve was ``np.array_equal`` to the whole one at
 every step of whole rn-highenergy and rn-wavepacket runs and of toy runs whose
-packet crosses the cut, and the tests check shortened runs of the three.
+packet crosses the cut, and the tests check shortened runs of the three and
+of a reference (Dirichlet) run.
 Since one run mixes split and whole steps, every split solve checks the bits
 it can: the rows m-1 .. m+1, which both halves solve, must agree exactly, or
 the step raises FloatingPointError.
@@ -280,6 +290,8 @@ def _check_rhs(rhs: np.ndarray, n: int) -> None:
 class _TridiagLU:
     """LU factorization of a complex tridiagonal matrix, reused every step."""
 
+    pairs = None  # no helper, no shared pairs (see _SplitLU)
+
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         # lower[j] sits in row j+1, upper[j] in row j; _solve writes through
         # raw pointers into _fact, which this object keeps alive
@@ -313,8 +325,9 @@ _OVERLAP_BITS = 106
 # The whole solve below this n: a step at n = 1501 measured no faster split,
 # at n = 3001 15 % faster.
 _SPLIT_MIN_N = 3000
-# Bytes of the pipes between a stepper and its helper process.
-_GO, _CALL, _QUIT, _OK, _FAILED = b"g", b"c", b"q", b"k", b"f"
+# Bytes of the pipes between a stepper and its helper process: a step from
+# pair 0 or 1, a call, quit, and the answers.
+_STEPS, _CALL, _QUIT, _OK, _FAILED = (b"0", b"1"), b"c", b"q", b"k", b"f"
 # Room for a pickled call or exception in the memory shared with the helper;
 # pages that are never touched take no memory.
 _MESSAGE_BYTES = 1 << 20
@@ -341,43 +354,72 @@ def _overlap(lu: _TridiagLU) -> int | None:
 
 
 class _SplitLU:
-    """``whole``'s solve with a helper process on a second CPU, which solves the
-    right half of a step's system whenever it is free and runs the calls
+    """``whole``'s LU with a helper process on a second CPU, which steps the
+    right half of each split step whenever it is free and runs the calls
     handed to it (:meth:`call`) on a copy of u.
 
-    With an overlap ``k``, the rows [0, m+K) are solved in place with
-    ``whole``'s leading factors, and the rows [m-K, n) by the helper, which
-    factors its system itself, in a shared buffer; the solution is the left
-    system's rows below m and the right system's from m on, and the rows
-    m-1 .. m+1, which both solved, must agree to the bit.  A step solves whole
-    while the helper runs a call, and with ``k`` None always; such a helper
-    only runs calls.  Each request and each answer is one byte on one of two
+    With an overlap ``k``, the helper is forked at once, factors the rows
+    [m-K, n) of the system itself and keeps ``half(self, solve)``, its
+    stepper's half step as a function of the pair it steps from (``solve``
+    solves those rows in place).  Two ping-pong pairs (u, v), ``pairs``, and
+    the helper's right-hand side, ``right``, live in memory shared with it;
+    :meth:`go` starts the helper's half of a step from pair p, unless a call
+    is in flight, while the stepper solves the rows [0, m+K) with ``whole``'s
+    leading factors (:meth:`solve_left`), and :meth:`join` waits for it and
+    checks that the rows m-1 .. m+1, which both halves solved, agree to the
+    bit.  With ``k`` None there are no pairs, and the helper, which then only
+    runs calls, is forked at the first one, so that a run that hands it none
+    forks nothing.  Each request and each answer is one byte on one of two
     pipes, and the rest goes through shared memory; both sides spin on their
     reads, yielding the CPU after each empty one, except a helper with
     nothing to split, which blocks.  :meth:`close` stops the helper and
     reaps it; if it is never called, a finalizer does the same.
     """
 
-    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int | None):
+    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int | None, half):
         n, m = whole.n, whole.n // 2
         self.n, self.k, self._m, self._whole = n, k, m, whole
+        self.pid = None  # until the helper is forked
         self._busy = False  # a call is in flight
+        self._closed = False
+        # Shared with the helper (an anonymous mmap is MAP_SHARED): a pickled
+        # call or exception at the start; then n values for a call's copy of
+        # u; then, with k, the n-m+K of the right system and the two pairs.
+        size = n if k is None else 6 * n - m + k
+        self._mm = mmap.mmap(-1, _MESSAGE_BYTES + 16 * size)
+        shared = np.frombuffer(self._mm, np.complex128, size, offset=_MESSAGE_BYTES)
+        self._slot, self.pairs = shared[:n], None
+        if k is None:
+            return
+        self.right = shared[n : 2 * n - m + k]
+        block = shared[2 * n - m + k :].reshape(2, 2, n)
+        self.pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
         # With no row swap near the cut, the left system's factors are the
         # first m+K rows of the whole's.
-        self._solve_left = _LAPACK.solver(whole._fact, m + k) if k else None
-        # Shared with the helper (an anonymous mmap is MAP_SHARED): a pickled
-        # call or exception at the start; then n values that hold the right
-        # system, and serve the stepper as scratch outside solve() instead of
-        # a buffer of its own; then n for a call's copy of u.
-        self._mm = mmap.mmap(-1, _MESSAGE_BYTES + 32 * n)
-        shared = np.frombuffer(self._mm, np.complex128, 2 * n, offset=_MESSAGE_BYTES)
-        self.buf, self._slot, self._right = shared[:n], shared[n:], shared[: n - m + (k or 0)]
+        self._solve_left = _LAPACK.solver(whole._fact, m + k)
+
+        def steps():  # in the helper: its half of a step, from pair p
+            fact, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
+            self._right_fact = fact  # the solve writes through raw pointers into it
+            solve = _LAPACK.solver(fact, n - m + k)
+
+            def solve_right(rhs: np.ndarray) -> None:
+                # a failed factorization fails every solve
+                if info != 0 or solve(rhs) != 0:
+                    raise RuntimeError("factorization or solve failed in the solve helper process")
+
+            return half(self, solve_right)
+
+        self._start(steps)
+
+    def _start(self, steps) -> None:
+        """Fork the helper; in it, ``steps()``, unless None, gives its half step."""
         # This process keeps the go pipe's read end too, so that a request to
         # a helper that has exited is written all the same, and the read of
         # its answer meets EOF.
         go, self._go = os.pipe()
         self._done, done = os.pipe()
-        os.set_blocking(go, k is None)
+        os.set_blocking(go, steps is None)
         os.set_blocking(self._done, False)
         # poll, not select, which cannot watch a descriptor above FD_SETSIZE
         self._answered = select.poll()
@@ -388,22 +430,17 @@ class _SplitLU:
             try:
                 os.close(self._go)
                 os.close(self._done)
-                solve = None
-                if k is not None:
-                    # `right` stays referenced in this frame while _serve's
-                    # solves write through raw pointers into it; a failed
-                    # factorization fails every solve
-                    right, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
-                    solve = _LAPACK.solver(right, n - m + k) if info == 0 else lambda b: info
-                _serve(go, done, solve, self._right, self._slot, self._mm, owner)
+                _serve(go, done, steps and steps(), self._slot, self._mm, owner)
             finally:
                 os._exit(0)
         os.close(done)
         self._stop = weakref.finalize(self, _stop, self.pid, (self._go, go, self._done), owner)
 
     def _send(self, request: bytes) -> None:
-        if not self._stop.alive:  # its pipes are closed, and their numbers free for reuse
+        if self._closed:  # its pipes are closed, and their numbers free for reuse
             raise RuntimeError("the solve helper process was stopped by close()")
+        if self.pid is None:
+            self._start(None)
         os.write(self._go, request)
 
     def _answer(self) -> None:
@@ -421,24 +458,29 @@ class _SplitLU:
             self._mm.seek(0)
             raise pickle.load(self._mm)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Overwrite ``rhs`` with the solution and return it."""
+    def go(self, p: int) -> bool:
+        """Start the helper's half of a step from ``pairs[p]``, unless it runs
+        a call; whether it started."""
         if self._busy and self._answered.poll(0):
             self._answer()
-        if self._busy or self.k is None:
-            return self._whole.solve(rhs)
-        _check_rhs(rhs, self.n)
-        m, k, buf = self._m, self.k, self._right
-        buf[:] = rhs[m - k :]
-        self._send(_GO)
+        if self._busy:
+            return False
+        self._send(_STEPS[p])
+        return True
+
+    def solve_left(self, rhs: np.ndarray) -> None:
+        """Overwrite the first m+K values of ``rhs`` with the left system's solution."""
         info = self._solve_left(rhs)
-        self._answer()
         if info != 0:  # pragma: no cover
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        if rhs[m - 1 : m + 2].tobytes() != buf[k - 1 : k + 2].tobytes():
+
+    def join(self, left: np.ndarray) -> None:
+        """Wait for the helper's half step; ``left``, the left system's
+        solution, and ``right`` must agree on the rows m-1 .. m+1."""
+        self._answer()
+        m, k = self._m, self.k
+        if left[m - 1 : m + 2].tobytes() != self.right[k - 1 : k + 2].tobytes():
             raise FloatingPointError(f"the split solve's halves differ at row {m} (K = {k})")
-        rhs[m:] = buf[k:]
-        return rhs
 
     def call(self, fn, u: np.ndarray) -> None:
         """Have the helper run ``fn(u)`` on a copy of ``u`` while the caller goes
@@ -458,16 +500,17 @@ class _SplitLU:
     def close(self) -> None:
         """Stop the helper and reap it, after the call in flight; idempotent."""
         self._busy = False
-        self._stop()
+        self._closed = True
+        if self.pid is not None:
+            self._stop()
 
 
-def _serve(go: int, done: int, solve, right: np.ndarray, slot: np.ndarray,
-           mm: mmap.mmap, owner: int) -> None:
-    """The helper's loop: at a go byte solve ``right`` in place, at a call byte
-    run the call pickled in ``mm`` on ``slot``, and answer each on ``done``, a
-    failure with its exception pickled in ``mm``; return at a quit byte, at
-    EOF (its stepper's process is gone) or when its parent is no longer
-    ``owner``."""
+def _serve(go: int, done: int, step, slot: np.ndarray, mm: mmap.mmap, owner: int) -> None:
+    """The helper's loop: at a step byte run ``step(p)`` for its pair p, at a
+    call byte run the call pickled in ``mm`` on ``slot``, and answer each on
+    ``done``, a failure with its exception pickled in ``mm``; return at a
+    quit byte, at EOF (its stepper's process is gone) or when its parent is
+    no longer ``owner``."""
     while True:
         try:
             command = os.read(go, 1)
@@ -479,15 +522,15 @@ def _serve(go: int, done: int, solve, right: np.ndarray, slot: np.ndarray,
                 return
             os.sched_yield()
             continue
-        if command not in (_GO, _CALL):
+        if command not in (_CALL, *_STEPS):
             return
         try:
             if command == _CALL:
                 mm.seek(0)
                 fn, size = pickle.load(mm)
                 fn(slot[:size])
-            elif solve(right) != 0:
-                raise RuntimeError("factorization or solve failed in the solve helper process")
+            else:
+                step(_STEPS.index(command))
             os.write(done, _OK)
         except Exception as exc:  # one that does not pickle ends the helper
             mm.seek(0)
@@ -508,14 +551,15 @@ def _stop(pid: int, fds: tuple[int, ...], owner: int) -> None:
         os.waitpid(pid, 0)
 
 
-def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, second_cpu: bool):
+def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, second_cpu: bool, half):
     """The LU a stepper solves with: with ``second_cpu``, one with a helper
-    process, which splits the solve where that pays (:func:`_overlap`,
-    ``_SPLIT_MIN_N``); else the whole one alone."""
+    process, which steps ``half`` of a step where a split pays
+    (:func:`_overlap`, ``_SPLIT_MIN_N``); else the whole one alone."""
     whole = _TridiagLU(lower, diag, upper)
     if not second_cpu:
         return whole
-    return _SplitLU(whole, lower, diag, upper, _overlap(whole) if whole.n >= _SPLIT_MIN_N else None)
+    k = _overlap(whole) if whole.n >= _SPLIT_MIN_N else None
+    return _SplitLU(whole, lower, diag, upper, k, half)
 
 
 class Stepper:
@@ -524,13 +568,23 @@ class Stepper:
     ``splitting=None`` resolves automatically: Strang splitting is used exactly
     when the boundary is transparent and P is not identically zero.
 
-    ``second_cpu=True`` forks a helper process for a second CPU.  It runs the
-    calls handed to it by :meth:`call`, and between them it solves half of
-    each step's system where the grid is large enough and the factors allow
-    it (module docstring), spinning on its CPU between steps (yielding it to
-    any other runnable process); a step solves whole while a call runs.
-    :meth:`close` stops the helper.  ``driver.run`` sets ``second_cpu`` by
-    its spare-CPU rule (``driver._spare_cpu``).
+    ``second_cpu=True`` gives the stepper a helper process for a second CPU.
+    It runs the calls handed to it by :meth:`call`, and where the grid is
+    large enough and the factors allow it (module docstring) it steps the
+    rows [m, n) of each step while this process steps the rows [0, m),
+    spinning on its CPU between steps (yielding it to any other runnable
+    process); a step is taken whole while a call runs.  A helper that would
+    only run calls is forked at the first one.  :meth:`close` stops the
+    helper.  ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
+    (``driver._spare_cpu``).
+
+    :meth:`step` never writes its input.  Without a helper that splits, it
+    returns fresh arrays.  With one, it returns one of two (u, v) pairs in
+    memory shared with the helper, which later steps overwrite: stepping on
+    from the returned state, the step after next.  A state that is not one
+    of the pairs (the first step's, a caller's) is read as given and
+    stepped whole, into a pair that it does not overlap, or into fresh
+    arrays if it overlaps both.  Copy what you keep.
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).
@@ -592,50 +646,119 @@ class Stepper:
             di[-1] = 1.0 / dt - 0.5j * pp.v[-1] + 0.5 / h
             lo[-1] = -0.5 / h
 
-        self._lu = _factor(lo[1:], di, up[:-1], second_cpu)
-        # scratch: _work holds one product at a time, none across the solve,
-        # so a split solve's shared buffer serves
-        self._work = self._lu.buf if isinstance(self._lu, _SplitLU) else np.empty(n, dtype=complex)
+        # scratch: _work holds one product at a time, and the helper process
+        # its own copy of it
+        self._work = np.empty(n, dtype=complex)
+        self._shifts = self._work[:-1], self._work[1:]
+        lu = self._lu = _factor(lo[1:], di, up[:-1], second_cpu, self._half)
+        self._whole = lu._whole if isinstance(lu, _SplitLU) else lu
+        self._pairs = lu.pairs
+        if self._pairs is not None:  # this process's half: rows [0, m+K), kept [0, m)
+            m, k = n // 2, lu.k
+            self._left = np.empty(m + k, dtype=complex)
+            self._halves = [
+                self._band(0, m + k, (0, m), self._pairs[p], self._left, self._pairs[1 - p])
+                for p in (0, 1)
+            ]
 
-    def _rhs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Right-hand side in a fresh array; the solve turns it into u_new."""
-        w = self._work
-        r = np.multiply(self._rdi, u)
-        np.add(r, np.multiply(self.grid.dt, v, out=w), out=r)
-        np.multiply(self._roff, u, out=w)  # one product serves both off-diagonals
-        r[1:] += w[:-1]
-        r[:-1] += w[1:]
-        if self.bc is BoundaryMode.DIRICHLET:
-            r[0] = 0.0
-            r[-1] = 0.0
-        else:
-            r[0] = self._rb0 * u[0] + self._rb1 * u[1]
-            r[-1] = self._rbn * u[-1] + self._rb1 * u[-2]
-        return r
+    def _band(self, lo: int, hi: int, keep: tuple[int, int], src, r: np.ndarray, dst) -> tuple:
+        """What :meth:`_advance` works on to step the rows [lo, hi) of the
+        system from the pair ``src``: ``r`` takes their right-hand side and
+        solution, whose rows ``keep`` = (k0, k1) go to the pair ``dst`` as
+        u's next values, with v's beside them."""
+        n, w = self.grid.n, self._work
+        (u, v), (un, vn), (k0, k1) = src, dst, keep
+        s0, s1 = max(lo - 1, 0), min(hi + 1, n)  # the values of u the rows read
+        b0, a1 = max(lo, 1), min(hi, n - 1)  # the rows from which u[j-1], up to which u[j+1], is read
+        near = w[: s1 - s0]
+        return (self._rdi[lo:hi], u[lo:hi], v[lo:hi], w[: hi - lo], u[s0:s1], near,
+                r, r[b0 - lo :], near[b0 - 1 - s0 : hi - 1 - s0], r[: a1 - lo],
+                near[lo + 1 - s0 : a1 + 1 - s0], lo == 0, hi == n,
+                r[k0 - lo : k1 - lo], u[k0:k1], v[k0:k1], w[: k1 - k0],
+                self._a[k0:k1], self._d[k0:k1], vn[k0:k1], un[k0:k1])
 
-    def step(self, state: FieldState) -> FieldState:
-        u, v, dt, h = state.u, state.v, self.grid.dt, self.grid.h
-        un = self._lu.solve(self._rhs(u, v))
+    def _whole_band(self, u, v, un, vn) -> tuple:
+        """:meth:`_band` of all the rows, from (u, v) to (un, vn), with the
+        right-hand side solved in ``un`` itself; built for every whole step,
+        without slicing u or v."""
+        w, (below, above) = self._work, self._shifts
+        return (self._rdi, u, v, w, u, w, un, un[1:], below, un[:-1], above, True, True,
+                un, u, v, w, self._a, self._d, vn, None)
+
+    def _half(self, lu: _SplitLU, solve):
+        """The helper's half step, built in the helper process: the rows
+        [m-K, n) from pair p, solved by ``solve`` in ``lu.right``, of which
+        [m, n) go to pair 1-p; a function of p."""
+        n, m, k, pairs = self.grid.n, self.grid.n // 2, lu.k, lu.pairs
+        halves = [self._band(m - k, n, (m, n), pairs[p], lu.right, pairs[1 - p]) for p in (0, 1)]
+        return lambda p: self._advance(halves[p], solve)
+
+    def _advance(self, band: tuple, solve) -> None:
+        """The step's kernel over the rows of ``band`` (:meth:`_band`): their
+        right-hand side, its solve in place by ``solve``, and the kept rows
+        of v's next values and, where the band has a pair's u of its own, u's."""
+        (rdi, u_rows, v_rows, w_rows, u_near, w_near, r, r_below, w_below, r_above, w_above,
+         first, last, r_kept, u_kept, v_kept, w_kept, a, d, vn, un) = band
+        dt, h = self.grid.dt, self.grid.h
+        dirichlet = self.bc is BoundaryMode.DIRICHLET
+        np.multiply(rdi, u_rows, out=r)
+        np.add(r, np.multiply(dt, v_rows, out=w_rows), out=r)
+        np.multiply(self._roff, u_near, out=w_near)  # one product serves both off-diagonals
+        r_below += w_below  # + roff u[j-1]
+        r_above += w_above  # + roff u[j+1]
+        if first:
+            r[0] = 0.0 if dirichlet else self._rb0 * u_rows[0] + self._rb1 * u_rows[1]
+        if last:
+            r[-1] = 0.0 if dirichlet else self._rbn * u_rows[-1] + self._rb1 * u_rows[-2]
+        solve(r)
         # vn = (2/dt)(a un - d u) - v in this grouping; folding 2/dt into a
         # and d would change the last bits of every output
-        vn = np.multiply(self._a, un)
-        np.subtract(vn, np.multiply(self._d, u, out=self._work), out=vn)
+        np.multiply(a, r_kept, out=vn)
+        np.subtract(vn, np.multiply(d, u_kept, out=w_kept), out=vn)
         np.multiply(2.0 / dt, vn, out=vn)
-        np.subtract(vn, v, out=vn)
-        if self.bc is BoundaryMode.DIRICHLET:
-            vn[0] = 0.0
-            vn[-1] = 0.0
+        np.subtract(vn, v_kept, out=vn)
+        if dirichlet:
+            if first:
+                vn[0] = 0.0
+            if last:
+                vn[-1] = 0.0
         else:  # one-way relation v = ±∂x u at the boundary nodes
-            vn[0] = (un[1] - un[0]) / h
-            vn[-1] = -(un[-1] - un[-2]) / h
-            if self.splitting:  # the trailing half P-kick, which these rows leave out
-                vn[0] -= self._hp_ends[0] * un[0]
-                vn[-1] -= self._hp_ends[1] * un[-1]
-        return FieldState(u=un, v=vn, t=state.t + dt)
+            if first:
+                vn[0] = (r[1] - r[0]) / h
+                if self.splitting:  # the trailing half P-kick, which these rows leave out
+                    vn[0] -= self._hp_ends[0] * r[0]
+            if last:
+                vn[-1] = -(r[-1] - r[-2]) / h
+                if self.splitting:
+                    vn[-1] -= self._hp_ends[1] * r[-1]
+        if un is not None:
+            un[...] = r_kept
+
+    def step(self, state: FieldState) -> FieldState:
+        u, v, t, pairs = state.u, state.v, state.t + self.grid.dt, self._pairs
+        q = None  # the pair this step writes
+        if pairs is not None:
+            if u is pairs[0][0] and v is pairs[0][1]:
+                q = 1
+            elif u is pairs[1][0] and v is pairs[1][1]:
+                q = 0
+            if q is not None and self._lu.go(1 - q):
+                self._advance(self._halves[1 - q], self._lu.solve_left)
+                self._lu.join(self._left)
+                return FieldState(u=pairs[q][0], v=pairs[q][1], t=t)
+            if q is None:  # not a pair: stepped into one that it does not overlap
+                q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
+        if q is None:
+            n = self._work.size  # Grid.n computes it on every read
+            un, vn = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        else:
+            un, vn = pairs[q]
+        self._advance(self._whole_band(u, v, un, vn), self._whole.solve)
+        return FieldState(u=un, v=vn, t=t)
 
     def call(self, fn, u: np.ndarray) -> None:
         """Run ``fn(u)``: in the helper process, on a copy of ``u``, while
-        stepping goes on, if ``second_cpu`` started one (``fn`` must then
+        stepping goes on, if ``second_cpu`` granted one (``fn`` must then
         pickle), else here and now.  A call waits for the one before it; a
         failed one's exception re-raises in a later step, call or :meth:`wait`."""
         self._lu.call(fn, u)
@@ -645,7 +768,11 @@ class Stepper:
         self._lu.wait()
 
     def close(self) -> None:
-        """Stop the helper process, if ``second_cpu`` started one, after its
-        call in flight.  Idempotent; a stepper whose helper split its solves
-        cannot step after it."""
+        """Stop the helper process, if one was started, after its call in
+        flight.  Idempotent; a stepper whose helper splits its steps cannot
+        step on from its own pairs after it."""
         self._lu.close()
+
+
+def _overlaps(state: FieldState, pair) -> bool:
+    return any(np.may_share_memory(a, b) for a in (state.u, state.v) for b in pair)

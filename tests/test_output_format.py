@@ -393,7 +393,7 @@ class TestWriterProcess:
         _write_snapshot(expected, grid, u)
         writer = _SnapshotWriter(tmp_path / "out", grid)
         off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, second_cpu=True)
+        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
         try:
             for k in range(3):
                 state = FieldState(u=u.copy(), v=u, t=float(k))
@@ -422,7 +422,7 @@ class TestWriterProcess:
             assert task.args == (tmp_path / "snapshots" / f"snap_{k:06d}.csv", grid)
             assert len(pickle.dumps((task, u.size))) < 1000  # u itself is 48 KB
         off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, second_cpu=True)
+        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
         try:
             lu.call(tasks[2], u)
             lu.wait()

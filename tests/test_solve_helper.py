@@ -1,15 +1,15 @@
-"""The helper process: a run with a spare CPU (``driver._spare_cpu``) forks
+"""The helper process: a run with a spare CPU (``driver._spare_cpu``) gets
 one helper (``solver._SplitLU``), which writes the run's snapshot files and,
-while it is not writing, solves the right half of each step's tridiagonal
-system.
+while it is not writing, steps the right half of each step's rows.
 
 Whole runs with and without the helper give equal arrays and equal output
-bytes, on both black-hole runs of the paper, on a toy run whose packet
-crosses the cut and on a run whose steps mix split and whole solves; a
-library run takes the helper by the same rule as a command-line run, a run
-without a spare CPU forks nothing, a helper with nothing to split does not
-spin, two runs with helpers that share two CPUs do not starve each other,
-and no helper outlives its run, however the run ends.
+bytes, on both black-hole runs of the paper, on a reference (Dirichlet) run,
+on a toy run whose packet crosses the cut and on a run whose steps mix split
+and whole steps; a library run takes the helper by the same rule as a
+command-line run, a run without a spare CPU forks nothing, nor does one whose
+helper could get no work, a helper with nothing to split does not spin, two
+runs with helpers that share two CPUs do not starve each other, and no
+helper outlives its run, however the run ends.
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ class TestSameResults:
             pytest.param(replace(_preset("rn-wavepacket", "omega-2.3"), t_final=10.0,
                                  snapshot_stride=1000), id="rn-wavepacket-omega-2.3"),
             pytest.param(_crossing_toy(), id="toy-crossing-the-cut"),
+            # u = v = 0 at both ends of a grid enlarged to n = 27601
+            pytest.param(replace(_preset("rn-wavepacket", "omega-2.3"), t_final=10.0,
+                                 snapshot_stride=100, bc=es.BoundaryMode.REFERENCE),
+                         id="rn-wavepacket-reference"),
         ],
     )
     def test_run_with_the_helper_is_the_run_without(self, case, tmp_path, monkeypatch, made):
@@ -156,6 +160,27 @@ class TestLibraryDefault:
         assert np.array_equal(default.final_state.u, without.final_state.u)
         assert np.array_equal(default.final_state.v, without.final_state.v)
 
+    def test_a_helper_is_forked_only_where_it_can_get_work(self, made, forks, reaped):
+        """A run whose grid does not split and that hands the helper no call
+        forks none; the same run with a snapshot callback does, at its first
+        call, and reaps it."""
+        cfg = es.SimConfig(
+            model="toy",
+            toy=es.ToyParams(alpha=1.0, beta=0.0, smoothing=1.0),
+            grid=es.Grid(x_min=-30.0, x_max=30.0, h=0.1, dt=0.1),  # n = 601
+            t_final=12.0,
+            data=es.DataSpec(kind="wave-packet", omega=0.0, x0=7.5, width=1.0, phase="plain"),
+            bc=es.BoundaryMode.TRANSPARENT,
+            probes=(15.0,),
+        )
+        idle = run(cfg)
+        assert forks == []
+        with_calls = run(cfg, snapshot_callback=lambda state: len)
+        assert forks == [1]
+        assert [(type(lu), lu.k) for lu in made] == [(solver._SplitLU, None)] * 2
+        assert made[0].pid is None and reaped(made[1].pid)
+        assert np.array_equal(idle.final_state.u, with_calls.final_state.u)
+
     def test_a_call_that_cannot_pickle_is_raised(self, made, reaped):
         """With a helper, the function a snapshot callback returns is pickled
         to it; a lambda cannot be, and the run raises and reaps its helper."""
@@ -182,8 +207,10 @@ def test_a_helper_with_nothing_to_split_blocks():
     spins, which the same measure sees."""
     for n, k, idle in ((1001, None, True), (solver._SPLIT_MIN_N, 42, False)):
         off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, second_cpu=True)
+        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
         assert lu.k == k
+        lu.call(len, np.ones(n, dtype=complex))  # forks a helper that only runs calls
+        lu.wait()
         if idle:
             assert _helper_cpu_s(lu) < 0.1
         else:
@@ -406,15 +433,17 @@ class TestLifeCycle:
         script = """
 import os
 import numpy as np
-from ergosim import solver
+from ergosim import potentials, solver
 
-for n in (solver._SPLIT_MIN_N, 1001):
-    off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
-    lu = solver._factor(off, diag, off, second_cpu=True)
-    assert (lu.k is None) == (n == 1001)
-    x = lu.solve(np.ones(n, dtype=complex))
-    lu.call(len, x)
-    print(lu.pid, flush=True)
+for n in (solver._SPLIT_MIN_N + 1, 1001):
+    grid = solver.Grid(x_min=0.0, x_max=(n - 1) * 0.01, h=0.01, dt=0.01)
+    pp = potentials.uniform_potentials(0.0, 0.0, grid.x)
+    stepper = solver.Stepper(grid, pp, "dirichlet", second_cpu=True)
+    assert (stepper._lu.k is None) == (n == 1001)
+    state = solver.FieldState(np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+    state = stepper.step(stepper.step(state))  # the second one split, where it can
+    stepper.call(len, state.u)
+    print(stepper._lu.pid, flush=True)
 os._exit(0)
 """
         proc, out, err = _python(script)

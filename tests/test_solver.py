@@ -418,9 +418,23 @@ def _tridiag(n, diag=1.5, off=-0.25):
             np.full(n - 1, off, dtype=complex))
 
 
+def _idle_half(lu, solve):
+    """A helper's half step for an LU that no stepper steps with: none."""
+    return None
+
+
+def _split_stepper(n=solver._SPLIT_MIN_N + 1):
+    """A stepper with a helper that splits (K = 42) on a potential-free
+    Dirichlet grid of n nodes, dt = h, and a random state on it."""
+    g = Grid(x_min=0.0, x_max=(n - 1) * 0.01, h=0.01, dt=0.01)
+    stepper = Stepper(g, uniform_potentials(0.0, 0.0, g.x), BoundaryMode.DIRICHLET,
+                      second_cpu=True)
+    return stepper, _random_state(n, seed=1)
+
+
 class TestSplitSolve:
-    """``second_cpu``: the solve split into overlapping halves, the right one
-    solved by a helper process (``solver._SplitLU``)."""
+    """``second_cpu``: each step split into overlapping halves, the right one
+    stepped by a helper process (``solver._SplitLU``)."""
 
     @pytest.mark.parametrize(
         "preset, label",
@@ -447,13 +461,13 @@ class TestSplitSolve:
     def test_whole_solve_when_the_overlap_exceeds_a_quarter(self):
         # the second difference: its factors decay like i/(i+1), so rho -> 1
         n = 2 * solver._SPLIT_MIN_N
-        lu = solver._factor(*_tridiag(n, diag=2.0, off=-1.0), second_cpu=True)
+        lu = solver._factor(*_tridiag(n, diag=2.0, off=-1.0), True, _idle_half)
         assert lu.k is None
         assert solver._overlap(lu._whole) is None
         lu.close()
         # off = -0.9 d, with d = 2 / 1.81 the pivots' limit, gives rho = 0.9
         # and K = 698 <= n/4: the split stands
-        lu = solver._factor(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81), second_cpu=True)
+        lu = solver._factor(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81), True, _idle_half)
         assert type(lu) is solver._SplitLU and lu.k == 698
         lu.close()
 
@@ -478,6 +492,8 @@ class TestSplitSolve:
 
     @pytest.mark.parametrize("binding", ["ctypes", "scipy"])
     def test_split_solve_is_the_whole_solve(self, binding, tmp_path, monkeypatch):
+        """Split steps give the whole steps' bits, and call no whole solve:
+        only the first step, from a state not the stepper's, solves whole."""
         if binding == "scipy":
             monkeypatch.setattr(solver, "_LAPACK", solver._lapack(tmp_path))  # no library there
         elif solver._LAPACK.name != "ctypes":
@@ -487,51 +503,74 @@ class TestSplitSolve:
         whole = Stepper(g, pp, BoundaryMode.TRANSPARENT)
         split = Stepper(g, pp, BoundaryMode.TRANSPARENT, second_cpu=True)
         assert type(split._lu) is solver._SplitLU and split._lu.k == 42
-        for seed in range(3):
-            rhs = _random_state(g.n, seed).u
-            assert np.array_equal(split._lu.solve(rhs.copy()), whole._lu.solve(rhs.copy()))
-        split.close()
+        solves, solve = [], solver._TridiagLU.solve
+        monkeypatch.setattr(solver._TridiagLU, "solve",
+                            lambda self, rhs: solves.append(self) or solve(self, rhs))
+        try:
+            for seed in range(3):
+                ours = theirs = _random_state(g.n, seed)
+                for _ in range(5):
+                    ours, theirs = split.step(ours), whole.step(theirs)
+                    assert np.array_equal(ours.u, theirs.u)
+                    assert np.array_equal(ours.v, theirs.v)
+        finally:
+            split.close()
+        assert solves.count(whole._lu) == 15
+        assert solves.count(split._lu._whole) == 3
 
-    def test_halves_that_differ_are_a_numerical_failure(self):
+    def test_halves_that_differ_are_a_numerical_failure(self, monkeypatch):
         """The rows m-1 .. m+1, which both halves solve, are compared bit for
         bit: an overlap of 2 rows where the factors need 42 makes them differ."""
-        n = solver._SPLIT_MIN_N
-        lower, diag, upper = _tridiag(n)
-        lu = solver._TridiagLU(lower, diag, upper)
-        assert solver._overlap(lu) == 42
-        rhs = np.cos(np.arange(n) / 7.0) + 0j
         for k, differ in ((42, False), (2, True)):
-            split = solver._SplitLU(lu, lower, diag, upper, k)
+            monkeypatch.setattr(solver, "_overlap", lambda lu: k)
+            stepper, state = _split_stepper()
+            lone = Stepper(stepper.grid, uniform_potentials(0.0, 0.0, stepper.grid.x),
+                           BoundaryMode.DIRICHLET)
             try:
+                assert stepper._lu.k == k
+                first = stepper.step(state)  # whole: the state is not the stepper's
                 if differ:
-                    with pytest.raises(FloatingPointError, match=f"differ at row {n // 2}"):
-                        split.solve(rhs.copy())
+                    m = stepper.grid.n // 2
+                    with pytest.raises(FloatingPointError, match=f"differ at row {m}"):
+                        stepper.step(first)
                 else:
-                    assert np.array_equal(split.solve(rhs.copy()), lu.solve(rhs.copy()))
+                    ours = stepper.step(first)
+                    theirs = lone.step(lone.step(state))
+                    assert np.array_equal(ours.u, theirs.u)
+                    assert np.array_equal(ours.v, theirs.v)
             finally:
-                split.close()
+                stepper.close()
 
     def test_split_solve_refuses_what_lapack_would_overrun(self):
-        lu = solver._factor(*_tridiag(solver._SPLIT_MIN_N), second_cpu=True)
-        rhs = np.zeros(lu.n - 1, dtype=complex)
-        with pytest.raises(ValueError, match="right-hand side"):
-            lu.solve(rhs)
-        lu.close()
+        """A helper stepper solves only in arrays of its own: a state of
+        another size is refused before anything is written."""
+        stepper, _ = _split_stepper()
+        pairs = [a.copy() for pair in stepper._pairs for a in pair]
+        short = _random_state(stepper.grid.n - 1, seed=2)
+        try:
+            with pytest.raises(ValueError):
+                stepper.step(short)
+        finally:
+            stepper.close()
+        for before, after in zip(pairs, (a for pair in stepper._pairs for a in pair)):
+            assert np.array_equal(before, after)
 
     def test_lost_helper_is_an_error_and_close_still_reaps(self):
         import os
         import signal
 
-        lu = solver._factor(*_tridiag(solver._SPLIT_MIN_N), second_cpu=True)
+        stepper, state = _split_stepper()
+        lu = stepper._lu
+        state = stepper.step(state)  # whole: the state is not the stepper's
         os.kill(lu.pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="helper process has exited"):
-            lu.solve(np.ones(lu.n, dtype=complex))
-        lu.close()  # the quit byte meets a closed pipe
+            stepper.step(state)
+        stepper.close()  # the quit byte meets a closed pipe
         with pytest.raises(ChildProcessError):
             os.waitpid(lu.pid, os.WNOHANG)
-        lu.close()  # idempotent
+        stepper.close()  # idempotent
         with pytest.raises(RuntimeError, match="stopped by close"):
-            lu.solve(np.ones(lu.n, dtype=complex))
+            stepper.step(state)
 
     def test_singular_right_system_is_an_error(self):
         # The right system's first column is zero, so zgttrf meets an exact
@@ -541,10 +580,48 @@ class TestSplitSolve:
         first = n // 2 - 42
         diag[first], lower[first] = 0.0, 0.0
         lu = solver._TridiagLU(lower, diag, upper)
-        split = solver._SplitLU(lu, lower, diag, upper, 42)
-        with pytest.raises(RuntimeError, match="failed in the solve helper"):
-            split.solve(np.ones(n, dtype=complex))
-        split.close()
+        # a helper whose half step solves its right-hand side as it stands
+        split = solver._SplitLU(lu, lower, diag, upper, 42, lambda lu, solve: lambda p: solve(lu.right))
+        try:
+            assert split.go(0)
+            with pytest.raises(RuntimeError, match="failed in the solve helper"):
+                split.join(np.ones(n, dtype=complex))
+        finally:
+            split.close()
+
+    def test_step_never_writes_its_input(self):
+        """A helper stepper steps on from its own states, in two pairs of
+        arrays that it reuses, and never writes its input; a state that is
+        not its own, even one made of its arrays, is read as given."""
+        stepper, state = _split_stepper()
+        lone = Stepper(stepper.grid, uniform_potentials(0.0, 0.0, stepper.grid.x),
+                       BoundaryMode.DIRICHLET)
+        try:
+            states, expected = [state], [state]
+            for _ in range(4):
+                u, v = states[-1].u.copy(), states[-1].v.copy()
+                states.append(stepper.step(states[-1]))
+                expected.append(lone.step(expected[-1]))
+                assert np.array_equal(states[-2].u, u) and np.array_equal(states[-2].v, v)
+                assert np.array_equal(states[-1].u, expected[-1].u)
+                assert np.array_equal(states[-1].v, expected[-1].v)
+            first, second = states[1:3]
+            assert not np.shares_memory(first.u, second.u)
+            assert states[3].u is first.u and states[4].u is second.u  # two pairs, reused
+            # not its own: a pair's u with other values of v, a pair's v
+            # beside the other pair's u, and copies of a pair
+            last = states[-1]
+            for given in (FieldState(last.u, last.v * 0.5, last.t),
+                          FieldState(states[-2].u, last.v, last.t),
+                          FieldState(last.u.copy(), last.v.copy(), last.t)):
+                u, v = given.u.copy(), given.v.copy()
+                ours = stepper.step(given)
+                theirs = lone.step(FieldState(u, v, given.t))
+                assert np.array_equal(given.u, u) and np.array_equal(given.v, v)
+                assert np.array_equal(ours.u, theirs.u)
+                assert np.array_equal(ours.v, theirs.v)
+        finally:
+            stepper.close()
 
 
 class TestConservation:
