@@ -170,11 +170,12 @@ def run(
 
     When a CPU is spare (:func:`_spare_cpu`: two usable CPUs for each of the
     ``runs_in_flight`` runs the caller runs at once, this one included), the
-    stepper gets a helper process for it, which steps half of each step's
-    rows where that pays and runs the functions below; it is forked only
-    where it can get work.  ``final_state`` is a copy; every sampler reads or
-    copies the state it is given at once, since a stepper with a helper
-    overwrites its states two steps on.
+    stepper gets a helper process for it, which runs the functions below and,
+    where the stepper splits its steps, the half of each step's rows that the
+    stepper sends it; it is forked at the first of these requests, so a run
+    that sends it none forks nothing.  ``final_state`` is a copy; every
+    sampler reads or copies the state it is given at once, since a stepper
+    with a helper overwrites its states two steps on.
     ``snapshot_callback`` is called with each window snapshot's state.  It
     may return None, or a function of u, such as a file's write, which this
     runs on the snapshot's u through :meth:`~ergosim.solver.Stepper.call`:
@@ -203,9 +204,12 @@ def run(
             stepper.call(task, ws.u)
 
     # (stride, sampler): a sampler runs at every step k with k % stride == 0,
-    # and at the last step
-    schedule = [(1, probe.sample) for probe in probes]
-    schedule += [(cfg.energy_stride, sample_energy), (cfg.snapshot_stride, sample_snapshot)]
+    # and at the last step.  The snapshot goes first: a helper writes it while
+    # the others sample, and where the first write forks the helper, the
+    # stepper frees the matrix rows it kept for the fork before the others
+    # allocate (peak RSS otherwise rose 0.1-0.4 MB on the black-hole runs).
+    schedule = [(cfg.snapshot_stride, sample_snapshot), (cfg.energy_stride, sample_energy)]
+    schedule += [(1, probe.sample) for probe in probes]
 
     stepper = Stepper(setup.grid, setup.pp, setup.bc, second_cpu=_spare_cpu(runs_in_flight))
     state = setup.state

@@ -40,10 +40,7 @@ unchanged on
 
 (rdi the right-hand side's diagonal; the left-hand matrix keeps A and no P),
 plus the trailing kick at the two transparent boundary nodes, whose v the
-one-way relation sets.  It is the same scheme; the regrouping moved split
-runs' outputs at roundoff when it replaced the separate kicks (the acceptance
-criteria's gains by at most 1.4e-13 relative), and left unsplit steps
-unchanged bit for bit.
+one-way relation sets.
 
 Stability requires the CFL ratio dt/h <= 1, enforced at grid construction.
 
@@ -62,31 +59,35 @@ LAPACK's zgttrf/zgttrs come from the OpenBLAS that numpy's wheels bundle,
 called through ctypes, so a run does not import scipy; with a numpy built
 without it (conda, system packages) they come from scipy.linalg.lapack.
 
-With ``second_cpu``, a forked helper process runs on a second CPU.  It runs
-the calls handed to it (a snapshot file's write, say) on a copy of u, and
-while it has none, each step runs on two CPUs, its solve as two overlapping
-systems (the partition method of Wang 1981, ACM TOMS 7): rows [0, m+K) and
-[m-K, n) of the matrix, m = n/2, each solved alone.  u and v then live in
-two ping-pong pairs in memory shared with the helper; a step reads pair p
-and writes pair 1 - p.  The stepper builds the right-hand side's rows
-[0, m+K) in a scratch array of its own, solves them with the whole matrix's
-leading factors and writes the rows [0, m) of u and v; the helper builds
-the rows [m-K, n) in its own array, solves them with factors of its own and
-writes the rows [m, n).  Each reads the K+1 values of u (K of v) past the
-cut that it needs straight from pair p.  A step taken while the helper runs a
-call, or from a state that is not one of the pairs (the first one, a
-caller's), is taken whole, into a pair.  Cutting a system at row m+K changes
-the back substitution's value there by |du/d| |x_{m+K}|, and each row above
-shrinks the change by |du/d| again; the right system's first rows change the
-forward elimination by |dl| per row in the same way.  So with rho the largest
-of |dl| and |du/d| over the rows within n/4 of the cut, the halves differ from
-the whole solve at row m by at most about rho^K of the solution's size near
-m+K (the decay of the inverse's entries, Demko, Moss and Smith 1984, Math.
-Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes rho^K <= 2^-106, far below
-half an ulp.  On the presets' and the benchmark's dt = h grids, rho is that
-of the potential-free matrix, 3 - 2 sqrt(2) = 0.1716, and K = 42.  The split
-is kept off when K > n/4, when zgttrf swapped a row within K of the cut, and
-below n = 3000, where it measured no faster.  The bound is on size, not on
+With ``second_cpu``, a helper process, forked at the first request it is
+sent, runs on a second CPU.  It knows nothing of the scheme: it runs the
+calls handed to it (a snapshot file's write, say) on a copy of u, and the
+half steps that its :class:`Stepper` sends it.  The stepper alone decides
+how a step is split, the partition method of Wang 1981 (ACM TOMS 7): its
+solve becomes two overlapping systems, rows [0, m+K) and [m-K, n) of the
+matrix, m = n/2, each solved alone.  u and v then live in two ping-pong
+pairs in memory shared with the helper; a step reads pair p and writes pair
+1 - p.  The stepper builds the right-hand side's rows [0, m+K) in a scratch
+array of its own, solves them with the whole matrix's leading factors and
+writes the rows [0, m) of u and v; the helper builds the rows [m-K, n) in
+shared memory, solves them with factors of those rows that it makes at its
+first step, in its own memory, and writes the rows [m, n).  Each reads the
+K+1 values of u (K of v) past the cut that it needs straight from pair p.
+A step taken while the helper runs a call, or from a state that is not one
+of the pairs (the first one, a caller's), is taken whole, into a pair.
+
+Cutting a system at row m+K changes the back substitution's value there by
+|du/d| |x_{m+K}|, and each row above shrinks the change by |du/d| again; the
+right system's first rows change the forward elimination by |dl| per row in
+the same way.  So with rho the largest of |dl| and |du/d| over the rows
+within n/4 of the cut, the halves differ from the whole solve at row m by at
+most about rho^K of the solution's size near m+K (the decay of the inverse's
+entries, Demko, Moss and Smith 1984, Math. Comp. 43).  K = ceil(106 ln 2 /
+-ln rho) makes rho^K <= 2^-106, far below half an ulp.  On the presets' and
+the benchmark's dt = h grids, rho is that of the potential-free matrix,
+3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
+when zgttrf swapped a row within K of the cut, and below n = 3000, where it
+measured no faster.  The bound is on size, not on
 bits; measured, the split solve was ``np.array_equal`` to the whole one at
 every step of whole rn-highenergy and rn-wavepacket runs and of toy runs whose
 packet crosses the cut, and the tests check shortened runs of the three and
@@ -193,7 +194,7 @@ class _OpenBLAS:
     ``factor`` returns zgttrf's factors (dl, d, du, du2, ipiv) and its info;
     ``solver(fact, n)`` returns a solve of the factored system's leading n
     rows, which overwrites the first n values of a contiguous complex128 array
-    and returns zgttrs's info.
+    and raises RuntimeError if zgttrs fails.
     """
 
     name = "ctypes"
@@ -222,9 +223,10 @@ class _OpenBLAS:
         n, info, one = ctypes.c_int64(n), ctypes.c_int64(), ctypes.c_int64(1)
         trs, head = self._trs, (b"N", n, one, *(a.ctypes.data for a in fact))
 
-        def solve(b: np.ndarray) -> int:
+        def solve(b: np.ndarray) -> None:
             trs(*head, b.ctypes.data, n, info, 1)
-            return info.value
+            if info.value != 0:  # pragma: no cover
+                raise RuntimeError(f"tridiagonal solve failed (info={info.value})")
 
         return solve
 
@@ -250,9 +252,11 @@ class _Scipy:
         dl, d, du, du2, ipiv = fact
         trs, head = self._trs, (dl[: n - 1], d[:n], du[: n - 1], du2[: max(n - 2, 0)], ipiv[:n])
 
-        def solve(b: np.ndarray) -> int:
+        def solve(b: np.ndarray) -> None:
             # overwrite_b: a contiguous complex128 b is solved in place
-            return trs(*head, b[:n], overwrite_b=1)[1]
+            info = trs(*head, b[:n], overwrite_b=1)[1]
+            if info != 0:  # pragma: no cover
+                raise RuntimeError(f"tridiagonal solve failed (info={info})")
 
         return solve
 
@@ -290,8 +294,6 @@ def _check_rhs(rhs: np.ndarray, n: int) -> None:
 class _TridiagLU:
     """LU factorization of a complex tridiagonal matrix, reused every step."""
 
-    pairs = None  # no helper, no shared pairs (see _SplitLU)
-
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         # lower[j] sits in row j+1, upper[j] in row j; _solve writes through
         # raw pointers into _fact, which this object keeps alive
@@ -304,20 +306,8 @@ class _TridiagLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Overwrite ``rhs`` with the solution and return it."""
         _check_rhs(rhs, self.n)
-        info = self._solve(rhs)
-        if info != 0:  # pragma: no cover
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
+        self._solve(rhs)
         return rhs
-
-    def call(self, fn, u: np.ndarray) -> None:
-        """Run ``fn(u)`` now; see :meth:`_SplitLU.call`."""
-        fn(u)
-
-    def wait(self) -> None:
-        """Nothing runs elsewhere; see :meth:`_SplitLU.wait`."""
-
-    def close(self) -> None:
-        """Nothing to release; see :meth:`_SplitLU.close`."""
 
 
 # Each half of a split solve reaches K rows past the cut, with rho^K <= 2^-106.
@@ -353,67 +343,39 @@ def _overlap(lu: _TridiagLU) -> int | None:
     return k
 
 
-class _SplitLU:
-    """``whole``'s LU with a helper process on a second CPU, which steps the
-    right half of each split step whenever it is free and runs the calls
-    handed to it (:meth:`call`) on a copy of u.
+class _Helper:
+    """A process on a second CPU that runs what it is sent, forked at the
+    first request, so that a helper that is sent none forks nothing.
 
-    With an overlap ``k``, the helper is forked at once, factors the rows
-    [m-K, n) of the system itself and keeps ``half(self, solve)``, its
-    stepper's half step as a function of the pair it steps from (``solve``
-    solves those rows in place).  Two ping-pong pairs (u, v), ``pairs``, and
-    the helper's right-hand side, ``right``, live in memory shared with it;
-    :meth:`go` starts the helper's half of a step from pair p, unless a call
-    is in flight, while the stepper solves the rows [0, m+K) with ``whole``'s
-    leading factors (:meth:`solve_left`), and :meth:`join` waits for it and
-    checks that the rows m-1 .. m+1, which both halves solved, agree to the
-    bit.  With ``k`` None there are no pairs, and the helper, which then only
-    runs calls, is forked at the first one, so that a run that hands it none
-    forks nothing.  Each request and each answer is one byte on one of two
-    pipes, and the rest goes through shared memory; both sides spin on their
-    reads, yielding the CPU after each empty one, except a helper with
-    nothing to split, which blocks.  :meth:`close` stops the helper and
-    reaps it; if it is never called, a finalizer does the same.
+    A call (:meth:`call`) runs a pickled function on a copy of u, which goes
+    through a slot of ``n`` values in memory shared with the helper.  A step
+    (:meth:`go`) runs ``step(p)``, with ``step = steps()`` made in the helper
+    at its first step, and :meth:`join` waits for it.  ``shared``, ``size``
+    more complex values in that memory, are for the steps and their sender;
+    the helper reads none of them itself.  ``steps`` is dropped at the fork:
+    a closure over its sender would otherwise hold the two in a cycle, and
+    the finalizer would wait for the garbage collector.  Each request and
+    each answer is one byte on one of two pipes, and the rest goes through
+    shared memory; both sides spin on their reads, yielding the CPU after
+    each empty one, except a helper without ``steps``, which blocks.
+    :meth:`close` stops the helper and reaps it; if it is never called, a
+    finalizer does the same.
     """
 
-    def __init__(self, whole: _TridiagLU, lower, diag, upper, k: int | None, half):
-        n, m = whole.n, whole.n // 2
-        self.n, self.k, self._m, self._whole = n, k, m, whole
+    def __init__(self, n: int, size: int = 0, steps=None):
         self.pid = None  # until the helper is forked
+        self._steps = steps
         self._busy = False  # a call is in flight
         self._closed = False
         # Shared with the helper (an anonymous mmap is MAP_SHARED): a pickled
-        # call or exception at the start; then n values for a call's copy of
-        # u; then, with k, the n-m+K of the right system and the two pairs.
-        size = n if k is None else 6 * n - m + k
-        self._mm = mmap.mmap(-1, _MESSAGE_BYTES + 16 * size)
-        shared = np.frombuffer(self._mm, np.complex128, size, offset=_MESSAGE_BYTES)
-        self._slot, self.pairs = shared[:n], None
-        if k is None:
-            return
-        self.right = shared[n : 2 * n - m + k]
-        block = shared[2 * n - m + k :].reshape(2, 2, n)
-        self.pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
-        # With no row swap near the cut, the left system's factors are the
-        # first m+K rows of the whole's.
-        self._solve_left = _LAPACK.solver(whole._fact, m + k)
+        # call or exception at the start, then the call's slot, then ``shared``.
+        self._mm = mmap.mmap(-1, _MESSAGE_BYTES + 16 * (n + size))
+        values = np.frombuffer(self._mm, np.complex128, n + size, offset=_MESSAGE_BYTES)
+        self._slot, self.shared = values[:n], values[n:]
 
-        def steps():  # in the helper: its half of a step, from pair p
-            fact, info = _LAPACK.factor(lower[m - k :], diag[m - k :], upper[m - k :])
-            self._right_fact = fact  # the solve writes through raw pointers into it
-            solve = _LAPACK.solver(fact, n - m + k)
-
-            def solve_right(rhs: np.ndarray) -> None:
-                # a failed factorization fails every solve
-                if info != 0 or solve(rhs) != 0:
-                    raise RuntimeError("factorization or solve failed in the solve helper process")
-
-            return half(self, solve_right)
-
-        self._start(steps)
-
-    def _start(self, steps) -> None:
-        """Fork the helper; in it, ``steps()``, unless None, gives its half step."""
+    def _start(self) -> None:
+        """Fork the helper; only the helper keeps ``steps``."""
+        steps, self._steps = self._steps, None
         # This process keeps the go pipe's read end too, so that a request to
         # a helper that has exited is written all the same, and the read of
         # its answer meets EOF.
@@ -430,7 +392,7 @@ class _SplitLU:
             try:
                 os.close(self._go)
                 os.close(self._done)
-                _serve(go, done, steps and steps(), self._slot, self._mm, owner)
+                _serve(go, done, steps, self._slot, self._mm, owner)
             finally:
                 os._exit(0)
         os.close(done)
@@ -440,7 +402,7 @@ class _SplitLU:
         if self._closed:  # its pipes are closed, and their numbers free for reuse
             raise RuntimeError("the solve helper process was stopped by close()")
         if self.pid is None:
-            self._start(None)
+            self._start()
         os.write(self._go, request)
 
     def _answer(self) -> None:
@@ -459,8 +421,7 @@ class _SplitLU:
             raise pickle.load(self._mm)
 
     def go(self, p: int) -> bool:
-        """Start the helper's half of a step from ``pairs[p]``, unless it runs
-        a call; whether it started."""
+        """Start ``step(p)`` in the helper, unless it runs a call; whether it started."""
         if self._busy and self._answered.poll(0):
             self._answer()
         if self._busy:
@@ -468,19 +429,9 @@ class _SplitLU:
         self._send(_STEPS[p])
         return True
 
-    def solve_left(self, rhs: np.ndarray) -> None:
-        """Overwrite the first m+K values of ``rhs`` with the left system's solution."""
-        info = self._solve_left(rhs)
-        if info != 0:  # pragma: no cover
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-
-    def join(self, left: np.ndarray) -> None:
-        """Wait for the helper's half step; ``left``, the left system's
-        solution, and ``right`` must agree on the rows m-1 .. m+1."""
+    def join(self) -> None:
+        """Wait for the step that :meth:`go` started; its exception re-raises here."""
         self._answer()
-        m, k = self._m, self.k
-        if left[m - 1 : m + 2].tobytes() != self.right[k - 1 : k + 2].tobytes():
-            raise FloatingPointError(f"the split solve's halves differ at row {m} (K = {k})")
 
     def call(self, fn, u: np.ndarray) -> None:
         """Have the helper run ``fn(u)`` on a copy of ``u`` while the caller goes
@@ -505,12 +456,13 @@ class _SplitLU:
             self._stop()
 
 
-def _serve(go: int, done: int, step, slot: np.ndarray, mm: mmap.mmap, owner: int) -> None:
-    """The helper's loop: at a step byte run ``step(p)`` for its pair p, at a
-    call byte run the call pickled in ``mm`` on ``slot``, and answer each on
-    ``done``, a failure with its exception pickled in ``mm``; return at a
-    quit byte, at EOF (its stepper's process is gone) or when its parent is
-    no longer ``owner``."""
+def _serve(go: int, done: int, steps, slot: np.ndarray, mm: mmap.mmap, owner: int) -> None:
+    """The helper's loop: at a step byte run ``step(p)`` for its pair p, with
+    ``step = steps()`` made at the first, at a call byte run the call pickled
+    in ``mm`` on ``slot``, and answer each on ``done``, a failure with its
+    exception pickled in ``mm``; return at a quit byte, at EOF (its stepper's
+    process is gone) or when its parent is no longer ``owner``."""
+    step = None
     while True:
         try:
             command = os.read(go, 1)
@@ -530,6 +482,7 @@ def _serve(go: int, done: int, step, slot: np.ndarray, mm: mmap.mmap, owner: int
                 fn, size = pickle.load(mm)
                 fn(slot[:size])
             else:
+                step = step or steps()
                 step(_STEPS.index(command))
             os.write(done, _OK)
         except Exception as exc:  # one that does not pickle ends the helper
@@ -551,31 +504,24 @@ def _stop(pid: int, fds: tuple[int, ...], owner: int) -> None:
         os.waitpid(pid, 0)
 
 
-def _factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, second_cpu: bool, half):
-    """The LU a stepper solves with: with ``second_cpu``, one with a helper
-    process, which steps ``half`` of a step where a split pays
-    (:func:`_overlap`, ``_SPLIT_MIN_N``); else the whole one alone."""
-    whole = _TridiagLU(lower, diag, upper)
-    if not second_cpu:
-        return whole
-    k = _overlap(whole) if whole.n >= _SPLIT_MIN_N else None
-    return _SplitLU(whole, lower, diag, upper, k, half)
-
-
 class Stepper:
     """Advances a :class:`FieldState` by dt on fixed potentials and boundary mode.
 
     ``splitting=None`` resolves automatically: Strang splitting is used exactly
     when the boundary is transparent and P is not identically zero.
 
-    ``second_cpu=True`` gives the stepper a helper process for a second CPU.
-    It runs the calls handed to it by :meth:`call`, and where the grid is
-    large enough and the factors allow it (module docstring) it steps the
-    rows [m, n) of each step while this process steps the rows [0, m),
-    spinning on its CPU between steps (yielding it to any other runnable
-    process); a step is taken whole while a call runs.  A helper that would
-    only run calls is forked at the first one.  :meth:`close` stops the
-    helper.  ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
+    ``second_cpu=True`` gives the stepper a helper process for a second CPU,
+    forked at the first request the stepper sends it.  It runs the calls
+    handed to it by :meth:`call`.  Where the grid is large enough and the
+    factors allow it (module docstring), this stepper splits each step: it
+    chooses the overlap K, lays out the shared pairs and the right-hand side
+    of the rows [m-K, n) in the helper's shared memory, and sends the helper
+    the rows [m, n) of each step while this process steps the rows [0, m)
+    and checks the rows that both solved, spinning on its CPU between
+    steps (yielding it to any other runnable process); a step is taken whole
+    while a call runs.  The helper factors its rows of the matrix itself,
+    so those factors take no memory here.  :meth:`close` stops the helper.
+    ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
     (``driver._spare_cpu``).
 
     :meth:`step` never writes its input.  Without a helper that splits, it
@@ -650,16 +596,33 @@ class Stepper:
         # its own copy of it
         self._work = np.empty(n, dtype=complex)
         self._shifts = self._work[:-1], self._work[1:]
-        lu = self._lu = _factor(lo[1:], di, up[:-1], second_cpu, self._half)
-        self._whole = lu._whole if isinstance(lu, _SplitLU) else lu
-        self._pairs = lu.pairs
-        if self._pairs is not None:  # this process's half: rows [0, m+K), kept [0, m)
-            m, k = n // 2, lu.k
-            self._left = np.empty(m + k, dtype=complex)
-            self._halves = [
-                self._band(0, m + k, (0, m), self._pairs[p], self._left, self._pairs[1 - p])
-                for p in (0, 1)
-            ]
+        lu = self._lu = _TridiagLU(lo[1:], di, up[:-1])
+        k = self._k = _overlap(lu) if second_cpu and n >= _SPLIT_MIN_N else None
+        self._pairs = None
+        if k is None:  # a helper, if any, that only runs calls
+            self._helper = _Helper(n) if second_cpu else None
+            return
+        m = n // 2
+
+        def steps():  # in the helper: its half step from pair p, rows [m-K, n), kept [m, n)
+            right = _TridiagLU(lo[m - k + 1 :], di[m - k :], up[m - k : -1])
+            halves = [self._band(m - k, n, (m, n), self._pairs[p], self._right, self._pairs[1 - p])
+                      for p in (0, 1)]
+            return lambda p: self._advance(halves[p], right.solve)
+
+        # Shared with the helper: the right system's n-m+K values, then the pairs.
+        self._helper = _Helper(n, 5 * n - m + k, steps)
+        shared = self._helper.shared
+        self._right = shared[: n - m + k]
+        block = shared[n - m + k :].reshape(2, 2, n)
+        self._pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
+        # This process's half: rows [0, m+K), kept [0, m).  With no row swap
+        # near the cut, the left system's factors are the whole's first m+K.
+        self._left = np.empty(m + k, dtype=complex)
+        self._halves = [self._band(0, m + k, (0, m), self._pairs[p], self._left, self._pairs[1 - p])
+                        for p in (0, 1)]
+        self._solve_left = _LAPACK.solver(lu._fact, m + k)
+        self._seam = self._left[m - 1 : m + 2], self._right[k - 1 : k + 2]
 
     def _band(self, lo: int, hi: int, keep: tuple[int, int], src, r: np.ndarray, dst) -> tuple:
         """What :meth:`_advance` works on to step the rows [lo, hi) of the
@@ -684,14 +647,6 @@ class Stepper:
         w, (below, above) = self._work, self._shifts
         return (self._rdi, u, v, w, u, w, un, un[1:], below, un[:-1], above, True, True,
                 un, u, v, w, self._a, self._d, vn, None)
-
-    def _half(self, lu: _SplitLU, solve):
-        """The helper's half step, built in the helper process: the rows
-        [m-K, n) from pair p, solved by ``solve`` in ``lu.right``, of which
-        [m, n) go to pair 1-p; a function of p."""
-        n, m, k, pairs = self.grid.n, self.grid.n // 2, lu.k, lu.pairs
-        halves = [self._band(m - k, n, (m, n), pairs[p], lu.right, pairs[1 - p]) for p in (0, 1)]
-        return lambda p: self._advance(halves[p], solve)
 
     def _advance(self, band: tuple, solve) -> None:
         """The step's kernel over the rows of ``band`` (:meth:`_band`): their
@@ -742,9 +697,15 @@ class Stepper:
                 q = 1
             elif u is pairs[1][0] and v is pairs[1][1]:
                 q = 0
-            if q is not None and self._lu.go(1 - q):
-                self._advance(self._halves[1 - q], self._lu.solve_left)
-                self._lu.join(self._left)
+            if q is not None and self._helper.go(1 - q):
+                self._advance(self._halves[1 - q], self._solve_left)
+                self._helper.join()
+                left, right = self._seam  # the rows m-1 .. m+1, which both halves solved
+                if left.tobytes() != right.tobytes():
+                    raise FloatingPointError(
+                        f"the split solve's halves differ at row {self._work.size // 2} "
+                        f"(K = {self._k})"
+                    )
                 return FieldState(u=pairs[q][0], v=pairs[q][1], t=t)
             if q is None:  # not a pair: stepped into one that it does not overlap
                 q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
@@ -753,7 +714,7 @@ class Stepper:
             un, vn = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
         else:
             un, vn = pairs[q]
-        self._advance(self._whole_band(u, v, un, vn), self._whole.solve)
+        self._advance(self._whole_band(u, v, un, vn), self._lu.solve)
         return FieldState(u=un, v=vn, t=t)
 
     def call(self, fn, u: np.ndarray) -> None:
@@ -761,17 +722,22 @@ class Stepper:
         stepping goes on, if ``second_cpu`` granted one (``fn`` must then
         pickle), else here and now.  A call waits for the one before it; a
         failed one's exception re-raises in a later step, call or :meth:`wait`."""
-        self._lu.call(fn, u)
+        if self._helper is None:
+            fn(u)
+        else:
+            self._helper.call(fn, u)
 
     def wait(self) -> None:
         """Wait for the helper's call in flight, if any; its exception re-raises here."""
-        self._lu.wait()
+        if self._helper is not None:
+            self._helper.wait()
 
     def close(self) -> None:
         """Stop the helper process, if one was started, after its call in
         flight.  Idempotent; a stepper whose helper splits its steps cannot
         step on from its own pairs after it."""
-        self._lu.close()
+        if self._helper is not None:
+            self._helper.close()
 
 
 def _overlaps(state: FieldState, pair) -> bool:

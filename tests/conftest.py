@@ -11,11 +11,18 @@ from ergosim import solver
 
 @pytest.fixture
 def made(monkeypatch):
-    """Every LU that a stepper builds in this process, in order; a
-    ``solver._SplitLU``'s helper process has the pid ``lu.pid``."""
-    lus, factor = [], solver._factor
-    monkeypatch.setattr(solver, "_factor", lambda *args: lus.append(factor(*args)) or lus[-1])
-    return lus
+    """Every ``Stepper`` built in this process, in order.  ``stepper._helper``
+    is its ``solver._Helper`` (None without ``second_cpu``), whose process
+    has the pid ``stepper._helper.pid`` once forked, and ``stepper._k`` the
+    overlap of its split (None where it does not split)."""
+    steppers, init = [], solver.Stepper.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        steppers.append(self)
+
+    monkeypatch.setattr(solver.Stepper, "__init__", record)
+    return steppers
 
 
 def _reaped(pid: int) -> bool:

@@ -299,9 +299,9 @@ class TestWriterProcess:
                 rows = inline[name].decode().splitlines()[1:]
                 assert [row.split(",", 1)[0] for row in rows] == x_column, (source, name)
             assert inline == _files(tmp_path / source / "True"), source
-        helpers = [lu for lu in made if type(lu) is solver._SplitLU]
+        helpers = [stepper._helper for stepper in made if stepper._helper is not None]
         assert len(helpers) == len(configs)
-        assert all(reaped(lu.pid) for lu in helpers)
+        assert all(reaped(helper.pid) for helper in helpers)
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
@@ -325,8 +325,8 @@ class TestWriterProcess:
                 return real_run(cfg, **kwargs)
             finally:
                 with log.open("a", encoding="utf-8") as fh:
-                    fh.writelines(f"{lu.pid} {reaped(lu.pid)}\n"
-                                  for lu in made if type(lu) is solver._SplitLU)
+                    fh.writelines(f"{s._helper.pid} {reaped(s._helper.pid)}\n"
+                                  for s in made if s._helper is not None)
                 made.clear()
 
         monkeypatch.setattr(cli, "run", run)
@@ -358,8 +358,8 @@ class TestWriterProcess:
         monkeypatch.setattr(cli, "_write_snapshot", _failing_write_snapshot)
         with pytest.raises(OSError, match="disk full while writing snap_"):
             cli._execute(cfg, tmp_path / "out")
-        (lu,) = made
-        assert reaped(lu.pid)
+        (stepper,) = made
+        assert reaped(stepper._helper.pid)
         assert not (tmp_path / "out" / "snapshots" / "index.csv").exists()
 
     def test_a_failed_write_is_raised_before_finish(self, tmp_path, monkeypatch):
@@ -392,18 +392,17 @@ class TestWriterProcess:
         expected = tmp_path / "expected.csv"
         _write_snapshot(expected, grid, u)
         writer = _SnapshotWriter(tmp_path / "out", grid)
-        off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
+        helper = solver._Helper(grid.n)  # one that only runs calls
         try:
             for k in range(3):
                 state = FieldState(u=u.copy(), v=u, t=float(k))
-                lu.call(writer(state), state.u)
+                helper.call(writer(state), state.u)
                 state.u[:] = np.nan  # a stepper that reuses its arrays
-            lu.wait()
+            helper.wait()
         finally:
-            lu.close()
+            helper.close()
         with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(lu.pid, os.WNOHANG)
+            os.waitpid(helper.pid, os.WNOHANG)
         writer.finish()
         for k in range(3):
             written = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
@@ -421,13 +420,12 @@ class TestWriterProcess:
             assert task.func is cli._write_snapshot
             assert task.args == (tmp_path / "snapshots" / f"snap_{k:06d}.csv", grid)
             assert len(pickle.dumps((task, u.size))) < 1000  # u itself is 48 KB
-        off, diag = np.full(grid.n - 1, -0.25 + 0j), np.full(grid.n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
+        helper = solver._Helper(grid.n)  # one that only runs calls
         try:
-            lu.call(tasks[2], u)
-            lu.wait()
+            helper.call(tasks[2], u)
+            helper.wait()
         finally:
-            lu.close()
+            helper.close()
         expected = tmp_path / "expected.csv"
         _write_snapshot(expected, grid, u)
         assert (tmp_path / "snapshots" / "snap_000002.csv").read_bytes() == expected.read_bytes()
@@ -448,8 +446,8 @@ class TestWriterProcess:
         args = ["--output-dir", str(tmp_path / "out"), "--quiet", "run", str(_golden(tmp_path))]
         assert main(args) == 3
         assert "step 3" in capsys.readouterr().err
-        (lu,) = made
-        assert reaped(lu.pid)
+        (stepper,) = made
+        assert reaped(stepper._helper.pid)
 
     def test_writer_forks_before_any_thread(self, tmp_path):
         """The helper that writes the snapshots is forked while the run has
@@ -527,8 +525,9 @@ class TestSpareCpu:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         monkeypatch.setattr(cli, "_write_snapshot", _pid_logging_write_snapshot)
         cli._execute(cfg, tmp_path / "out")
-        (lu,) = made
+        (stepper,) = made
         assert len(forks) == spare
-        assert type(lu) is (solver._SplitLU if spare else solver._TridiagLU)
+        assert (stepper._helper is not None) == spare
         writers = set((tmp_path / "out.pids").read_text(encoding="utf-8").splitlines())
-        assert writers == {f"{lu.pid} {os.getpid()}" if spare else f"{os.getpid()} {os.getppid()}"}
+        assert writers == {f"{stepper._helper.pid} {os.getpid()}" if spare
+                           else f"{os.getpid()} {os.getppid()}"}

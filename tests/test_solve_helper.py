@@ -1,6 +1,7 @@
 """The helper process: a run with a spare CPU (``driver._spare_cpu``) gets
-one helper (``solver._SplitLU``), which writes the run's snapshot files and,
-while it is not writing, steps the right half of each step's rows.
+one helper (``solver._Helper``), which writes the run's snapshot files and,
+while it is not writing, steps the right half of each step's rows, as its
+``Stepper`` sends them.
 
 Whole runs with and without the helper give equal arrays and equal output
 bytes, on both black-hole runs of the paper, on a reference (Dirichlet) run,
@@ -14,6 +15,7 @@ helper outlives its run, however the run ends.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import resource
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 import ergosim as es
-from ergosim import cli, driver, solver
+from ergosim import cli, driver, potentials, solver
 from ergosim.driver import run
 from ergosim.presets import get_preset
 
@@ -82,8 +84,7 @@ class TestSameResults:
                 cli, "run", lambda cfg, **kw: results.setdefault(helper, real_run(cfg, **kw))
             )
             cli._execute(case, tmp_path / str(helper))
-        assert [type(lu) for lu in made] == [solver._TridiagLU, solver._SplitLU]
-        assert made[1].k == 42
+        assert [(s._helper is not None, s._k) for s in made] == [(False, None), (True, 42)]
         without, with_helper = (results[h].final_state for h in (False, True))
         assert np.array_equal(without.u, with_helper.u)
         assert np.array_equal(without.v, with_helper.v)
@@ -107,9 +108,9 @@ class TestSameResults:
             )
             cli._execute(case, tmp_path / str(helper))
         lone, split = made
-        assert type(split) is solver._SplitLU and split.k == 42
-        whole_steps = whole.count(split._whole)
-        assert whole.count(lone) == case.n_steps
+        assert split._helper is not None and split._k == 42
+        whole_steps = whole.count(split._lu)
+        assert whole.count(lone._lu) == case.n_steps
         assert 0 < whole_steps < case.n_steps  # and the other steps split
         without, with_helper = (results[h].final_state for h in (False, True))
         assert np.array_equal(without.u, with_helper.u)
@@ -122,7 +123,7 @@ class TestSameResults:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         cli._execute(_crossing_toy(), tmp_path / "out")
         assert forks == []
-        assert [type(lu) for lu in made] == [solver._TridiagLU]
+        assert [s._helper for s in made] == [None]
         assert len(list((tmp_path / "out" / "snapshots").glob("snap_*.csv"))) == 3
 
 
@@ -143,20 +144,20 @@ class TestLibraryDefault:
     def test_a_spare_cpu_forks_one_helper(self, made, forks, reaped):
         assert driver._spare_cpu(1)
         run(_crossing_toy())
-        (lu,) = made
+        (stepper,) = made
         assert forks == [1]
-        assert type(lu) is solver._SplitLU and lu.k == 42
-        assert reaped(lu.pid)
+        assert stepper._helper is not None and stepper._k == 42
+        assert reaped(stepper._helper.pid)
 
     def test_two_runs_in_flight_fork_none(self, made, forks):
         assert not driver._spare_cpu(2)
         run(_crossing_toy(), runs_in_flight=2)
         assert forks == []
-        assert [type(lu) for lu in made] == [solver._TridiagLU]
+        assert [s._helper for s in made] == [None]
 
     def test_the_default_run_is_the_run_without_a_helper(self, made):
         default, without = run(_crossing_toy()), run(_crossing_toy(), runs_in_flight=2)
-        assert [type(lu) for lu in made] == [solver._SplitLU, solver._TridiagLU]
+        assert [s._helper is not None for s in made] == [True, False]
         assert np.array_equal(default.final_state.u, without.final_state.u)
         assert np.array_equal(default.final_state.v, without.final_state.v)
 
@@ -177,44 +178,46 @@ class TestLibraryDefault:
         assert forks == []
         with_calls = run(cfg, snapshot_callback=lambda state: len)
         assert forks == [1]
-        assert [(type(lu), lu.k) for lu in made] == [(solver._SplitLU, None)] * 2
-        assert made[0].pid is None and reaped(made[1].pid)
+        assert [(s._helper is not None, s._k) for s in made] == [(True, None)] * 2
+        assert made[0]._helper.pid is None and reaped(made[1]._helper.pid)
         assert np.array_equal(idle.final_state.u, with_calls.final_state.u)
 
     def test_a_call_that_cannot_pickle_is_raised(self, made, reaped):
         """With a helper, the function a snapshot callback returns is pickled
-        to it; a lambda cannot be, and the run raises and reaps its helper."""
+        to it; a lambda cannot be, and the run raises and reaps its helper
+        (forked by the first snapshot's call, of ``len``)."""
         with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
-            run(_crossing_toy(), snapshot_callback=lambda state: lambda u: None)
-        (lu,) = made
-        assert type(lu) is solver._SplitLU
-        assert reaped(lu.pid)
+            run(_crossing_toy(), snapshot_callback=lambda state: len if state.t == 0.0
+                else lambda u: None)
+        (stepper,) = made
+        assert stepper._helper is not None
+        assert reaped(stepper._helper.pid)
 
 
-def _helper_cpu_s(lu: solver._SplitLU) -> float:
-    """The CPU seconds that ``lu``'s helper spends in half a second of idling,
+def _helper_cpu_s(helper: solver._Helper) -> float:
+    """The CPU seconds that ``helper`` spends in half a second of idling,
     read from its rusage when ``close`` reaps it."""
     time.sleep(0.5)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    lu.close()
+    helper.close()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
 
 
 def test_a_helper_with_nothing_to_split_blocks():
-    """Below the split's crossover the helper only runs calls, so it blocks
-    on its pipe between them instead of spinning; a helper that splits
-    spins, which the same measure sees."""
-    for n, k, idle in ((1001, None, True), (solver._SPLIT_MIN_N, 42, False)):
-        off, diag = np.full(n - 1, -0.25 + 0j), np.full(n, 1.5 + 0j)
-        lu = solver._factor(off, diag, off, True, lambda lu, solve: None)  # no stepper's half
-        assert lu.k == k
-        lu.call(len, np.ones(n, dtype=complex))  # forks a helper that only runs calls
-        lu.wait()
+    """A helper without ``steps`` (a stepper below the split's crossover
+    makes one) only runs calls, so it blocks on its pipe between them
+    instead of spinning; a helper with ``steps`` spins, which the same
+    measure sees."""
+    n = 1001
+    for steps, idle in ((None, True), (lambda: lambda p: None, False)):  # a stand-in half step
+        helper = solver._Helper(n, steps=steps)
+        helper.call(len, np.ones(n, dtype=complex))  # forks it at this first request
+        helper.wait()
         if idle:
-            assert _helper_cpu_s(lu) < 0.1
+            assert _helper_cpu_s(helper) < 0.1
         else:
-            assert _helper_cpu_s(lu) > 0.2
+            assert _helper_cpu_s(helper) > 0.2
 
 
 # Pins itself to the CPUs argv[1], prepares a shortened rn-highenergy
@@ -339,8 +342,8 @@ smoothing = 1
 """
 
 # Runs `ergosim run` on argv[1] into argv[2] with a spare CPU, after a fault
-# chosen by argv[3]; prints the pid of each helper process, then exits with
-# main's code.
+# chosen by argv[3]; prints the pid of each helper process when it is forked,
+# then exits with main's code.
 CLI_SCRIPT = """
 import sys
 import numpy as np
@@ -361,14 +364,13 @@ def step(self, state):
 
 Stepper.step = step
 driver._spare_cpu = lambda runs_in_flight: True
-factor = solver._factor
+start = solver._Helper._start
 
-def logged(*args):
-    lu = factor(*args)
-    print(lu.pid, flush=True)
-    return lu
+def logged(self):  # returns in this process only, once the helper is forked
+    start(self)
+    print(self.pid, flush=True)
 
-solver._factor = logged
+solver._Helper._start = logged
 sys.exit(cli.main(["--output-dir", out, "--quiet", "run", ini]))
 """
 
@@ -390,9 +392,9 @@ class TestLifeCycle:
     def test_reaped_after_a_run(self, monkeypatch, made, reaped):
         monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         run(_crossing_toy())
-        (lu,) = made
-        assert type(lu) is solver._SplitLU
-        assert reaped(lu.pid)
+        (stepper,) = made
+        assert stepper._helper is not None
+        assert reaped(stepper._helper.pid)
 
     def test_reaped_after_a_snapshot_callback_raises(self, monkeypatch, made, reaped):
         def callback(state):
@@ -402,9 +404,9 @@ class TestLifeCycle:
         monkeypatch.setattr(driver, "_spare_cpu", lambda runs_in_flight: True)
         with pytest.raises(OSError, match="disk full"):
             run(_crossing_toy(), snapshot_callback=callback)
-        (lu,) = made
-        assert type(lu) is solver._SplitLU
-        assert reaped(lu.pid)
+        (stepper,) = made
+        assert stepper._helper is not None
+        assert reaped(stepper._helper.pid)
 
     @pytest.mark.parametrize(
         "fault, code", [("none", 0), ("raise", 1), ("bad-config", 2), ("inf", 3)]
@@ -439,11 +441,11 @@ for n in (solver._SPLIT_MIN_N + 1, 1001):
     grid = solver.Grid(x_min=0.0, x_max=(n - 1) * 0.01, h=0.01, dt=0.01)
     pp = potentials.uniform_potentials(0.0, 0.0, grid.x)
     stepper = solver.Stepper(grid, pp, "dirichlet", second_cpu=True)
-    assert (stepper._lu.k is None) == (n == 1001)
+    assert (stepper._k is None) == (n == 1001)
     state = solver.FieldState(np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
     state = stepper.step(stepper.step(state))  # the second one split, where it can
     stepper.call(len, state.u)
-    print(stepper._lu.pid, flush=True)
+    print(stepper._helper.pid, flush=True)
 os._exit(0)
 """
         proc, out, err = _python(script)
@@ -454,6 +456,27 @@ os._exit(0)
         while any(map(_running, helpers)) and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not any(map(_running, helpers))
+
+    def test_a_dropped_stepper_reaps_its_helper_without_the_collector(self, reaped):
+        """A splitting stepper dropped without ``close()`` stops and reaps its
+        helper as soon as its last reference goes, through the helper's
+        finalizer: once forked, the helper holds no reference back to its
+        stepper (``steps``), so no cycle waits for the garbage collector."""
+        n = solver._SPLIT_MIN_N + 1
+        grid = solver.Grid(x_min=0.0, x_max=(n - 1) * 0.01, h=0.01, dt=0.01)
+        pp = potentials.uniform_potentials(0.0, 0.0, grid.x)
+        gc.disable()
+        try:
+            stepper = solver.Stepper(grid, pp, "dirichlet", second_cpu=True)
+            assert stepper._k == 42
+            state = solver.FieldState(np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+            state = stepper.step(stepper.step(state))  # the second one splits: the fork
+            pid = stepper._helper.pid
+            assert pid is not None and not reaped(pid)
+            del stepper
+            assert reaped(pid)
+        finally:
+            gc.enable()
 
     def test_helper_forks_before_any_thread(self, tmp_path):
         """The helper is forked while the run has one Python thread (BLAS
@@ -467,10 +490,10 @@ from ergosim.config import load_config
 at_fork = []
 os.register_at_fork(before=lambda: at_fork.append(threading.active_count()))
 driver._spare_cpu = lambda runs_in_flight: True
-made, factor = [], solver._factor
-solver._factor = lambda *args: made.append(factor(*args)) or made[-1]
+made, init = [], solver.Stepper.__init__
+solver.Stepper.__init__ = lambda self, *args, **kw: init(self, *args, **kw) or made.append(self)
 cli._execute(load_config(Path(sys.argv[1])), Path(sys.argv[2]))
-assert [type(lu).__name__ for lu in made] == ["_SplitLU"], made
+assert [(s._helper is not None, s._k) for s in made] == [(True, 42)], made
 assert at_fork == [1], at_fork
 """
         ini = tmp_path / "helper.ini"

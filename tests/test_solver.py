@@ -418,11 +418,6 @@ def _tridiag(n, diag=1.5, off=-0.25):
             np.full(n - 1, off, dtype=complex))
 
 
-def _idle_half(lu, solve):
-    """A helper's half step for an LU that no stepper steps with: none."""
-    return None
-
-
 def _split_stepper(n=solver._SPLIT_MIN_N + 1):
     """A stepper with a helper that splits (K = 42) on a potential-free
     Dirichlet grid of n nodes, dt = h, and a random state on it."""
@@ -434,7 +429,7 @@ def _split_stepper(n=solver._SPLIT_MIN_N + 1):
 
 class TestSplitSolve:
     """``second_cpu``: each step split into overlapping halves, the right one
-    stepped by a helper process (``solver._SplitLU``)."""
+    stepped by a helper process (``solver._Helper``) as the stepper sends it."""
 
     @pytest.mark.parametrize(
         "preset, label",
@@ -454,22 +449,18 @@ class TestSplitSolve:
         g, pp, bc, _ = _kernel_case("rn-transparent-split")
         assert g.n < solver._SPLIT_MIN_N
         stepper = Stepper(g, pp, bc, second_cpu=True)
-        assert stepper._lu.k is None  # a helper that only runs calls
-        assert solver._overlap(stepper._lu._whole) is not None  # the size alone decides
+        assert stepper._k is None and stepper._helper is not None  # a helper that only runs calls
+        assert solver._overlap(stepper._lu) is not None  # the size alone decides
         stepper.close()
 
     def test_whole_solve_when_the_overlap_exceeds_a_quarter(self):
         # the second difference: its factors decay like i/(i+1), so rho -> 1
         n = 2 * solver._SPLIT_MIN_N
-        lu = solver._factor(*_tridiag(n, diag=2.0, off=-1.0), True, _idle_half)
-        assert lu.k is None
-        assert solver._overlap(lu._whole) is None
-        lu.close()
+        assert solver._overlap(solver._TridiagLU(*_tridiag(n, diag=2.0, off=-1.0))) is None
         # off = -0.9 d, with d = 2 / 1.81 the pivots' limit, gives rho = 0.9
         # and K = 698 <= n/4: the split stands
-        lu = solver._factor(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81), True, _idle_half)
-        assert type(lu) is solver._SplitLU and lu.k == 698
-        lu.close()
+        lu = solver._TridiagLU(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81))
+        assert solver._overlap(lu) == 698
 
     def test_whole_solve_when_a_row_swap_falls_in_the_overlap(self):
         # Row r gets a zero diagonal and a large entry below it, so zgttrf
@@ -502,7 +493,7 @@ class TestSplitSolve:
         pp = rn_potentials(REFERENCE_HOLE, REFERENCE_FIELD, g.x)
         whole = Stepper(g, pp, BoundaryMode.TRANSPARENT)
         split = Stepper(g, pp, BoundaryMode.TRANSPARENT, second_cpu=True)
-        assert type(split._lu) is solver._SplitLU and split._lu.k == 42
+        assert split._helper is not None and split._k == 42
         solves, solve = [], solver._TridiagLU.solve
         monkeypatch.setattr(solver._TridiagLU, "solve",
                             lambda self, rhs: solves.append(self) or solve(self, rhs))
@@ -516,7 +507,7 @@ class TestSplitSolve:
         finally:
             split.close()
         assert solves.count(whole._lu) == 15
-        assert solves.count(split._lu._whole) == 3
+        assert solves.count(split._lu) == 3
 
     def test_halves_that_differ_are_a_numerical_failure(self, monkeypatch):
         """The rows m-1 .. m+1, which both halves solve, are compared bit for
@@ -527,7 +518,7 @@ class TestSplitSolve:
             lone = Stepper(stepper.grid, uniform_potentials(0.0, 0.0, stepper.grid.x),
                            BoundaryMode.DIRICHLET)
             try:
-                assert stepper._lu.k == k
+                assert stepper._k == k
                 first = stepper.step(state)  # whole: the state is not the stepper's
                 if differ:
                     m = stepper.grid.n // 2
@@ -560,14 +551,15 @@ class TestSplitSolve:
         import signal
 
         stepper, state = _split_stepper()
-        lu = stepper._lu
-        state = stepper.step(state)  # whole: the state is not the stepper's
-        os.kill(lu.pid, signal.SIGKILL)
+        # whole (the state is not the stepper's), then split, which forks the helper
+        state = stepper.step(stepper.step(state))
+        helper = stepper._helper
+        os.kill(helper.pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="helper process has exited"):
             stepper.step(state)
         stepper.close()  # the quit byte meets a closed pipe
         with pytest.raises(ChildProcessError):
-            os.waitpid(lu.pid, os.WNOHANG)
+            os.waitpid(helper.pid, os.WNOHANG)
         stepper.close()  # idempotent
         with pytest.raises(RuntimeError, match="stopped by close"):
             stepper.step(state)
@@ -579,15 +571,24 @@ class TestSplitSolve:
         lower, diag, upper = _tridiag(n)
         first = n // 2 - 42
         diag[first], lower[first] = 0.0, 0.0
-        lu = solver._TridiagLU(lower, diag, upper)
-        # a helper whose half step solves its right-hand side as it stands
-        split = solver._SplitLU(lu, lower, diag, upper, 42, lambda lu, solve: lambda p: solve(lu.right))
+        solver._TridiagLU(lower, diag, upper)  # the whole matrix factors
+
+        def steps():
+            """A stand-in for a stepper's: factor the right system in the
+            helper, and solve its right-hand side there as it stands."""
+            right = solver._TridiagLU(lower[first:], diag[first:], upper[first:])
+            return lambda p: right.solve(helper.shared)
+
+        helper = solver._Helper(n, n - first, steps)
         try:
-            assert split.go(0)
-            with pytest.raises(RuntimeError, match="failed in the solve helper"):
-                split.join(np.ones(n, dtype=complex))
+            assert helper.go(0)
+            with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
+                helper.join()
+            assert helper.go(1)  # and every later step fails the same way
+            with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
+                helper.join()
         finally:
-            split.close()
+            helper.close()
 
     def test_step_never_writes_its_input(self):
         """A helper stepper steps on from its own states, in two pairs of
