@@ -105,7 +105,6 @@ import math
 import mmap
 import os
 import pickle
-import select
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -352,12 +351,13 @@ class _Helper:
     (:meth:`go`) runs ``step(p)``, with ``step = steps()`` made in the helper
     at its first step, and :meth:`join` waits for it.  ``shared``, ``size``
     more complex values in that memory, are for the steps and their sender;
-    the helper reads none of them itself.  ``steps`` is dropped at the fork:
-    a closure over its sender would otherwise hold the two in a cycle, and
-    the finalizer would wait for the garbage collector.  Each request and
-    each answer is one byte on one of two pipes, and the rest goes through
-    shared memory; both sides spin on their reads, yielding the CPU after
-    each empty one, except a helper without ``steps``, which blocks.
+    the helper reads none of them itself.  ``steps`` must reach its sender
+    through a weak reference, or the two would stay in a cycle until the
+    garbage collector runs; only the helper keeps it after the fork.  Each
+    request and each answer is one byte on one of two pipes, and the rest
+    goes through shared memory.  Both sides read with non-blocking reads and
+    spin on them, yielding the CPU after each empty one, except a helper
+    without ``steps``, which blocks.
     :meth:`close` stops the helper and reaps it; if it is never called, a
     finalizer does the same.
     """
@@ -383,9 +383,6 @@ class _Helper:
         self._done, done = os.pipe()
         os.set_blocking(go, steps is None)
         os.set_blocking(self._done, False)
-        # poll, not select, which cannot watch a descriptor above FD_SETSIZE
-        self._answered = select.poll()
-        self._answered.register(self._done, select.POLLIN)
         owner = os.getpid()
         self.pid = os.fork()
         if self.pid == 0:
@@ -405,13 +402,16 @@ class _Helper:
             self._start()
         os.write(self._go, request)
 
-    def _answer(self) -> None:
-        """Wait for the answer to the request in flight; a failed request's
-        exception re-raises here."""
+    def _answer(self, wait: bool = True) -> bool:
+        """Take the answer to the request in flight, waiting for it unless not
+        ``wait``; whether there was one.  A failed request's exception
+        re-raises here."""
         while True:
             with contextlib.suppress(BlockingIOError):
                 reply = os.read(self._done, 1)
                 break
+            if not wait:
+                return False
             os.sched_yield()  # to the helper, should it share this CPU
         self._busy = False
         if not reply:
@@ -419,12 +419,11 @@ class _Helper:
         if reply != _OK:
             self._mm.seek(0)
             raise pickle.load(self._mm)
+        return True
 
     def go(self, p: int) -> bool:
         """Start ``step(p)`` in the helper, unless it runs a call; whether it started."""
-        if self._busy and self._answered.poll(0):
-            self._answer()
-        if self._busy:
+        if self._busy and not self._answer(wait=False):
             return False
         self._send(_STEPS[p])
         return True
@@ -467,9 +466,12 @@ def _serve(go: int, done: int, steps, slot: np.ndarray, mm: mmap.mmap, owner: in
         try:
             command = os.read(go, 1)
         except BlockingIOError:
-            # spin: a blocking read would wait for an idle CPU to wake up; the
-            # yield gives the CPU to any other runnable process, so that runs
-            # that share CPUs with their helpers do not starve one another
+            # spin: blocking reads on both pipes measured slower, split steps
+            # on rn-highenergy omega = 100 (n = 20001) taking 384-420 us
+            # against 340-365 us spinning (medians, three alternations, 2
+            # CPUs); the yield gives the CPU to any other runnable process,
+            # so that runs that share CPUs with their helpers do not starve
+            # one another
             if os.getppid() != owner:
                 return
             os.sched_yield()
@@ -603,12 +605,16 @@ class Stepper:
             self._helper = _Helper(n) if second_cpu else None
             return
         m = n // 2
+        # a closure over self would hold this stepper and its helper in a
+        # cycle, which only the garbage collector frees
+        ref = weakref.ref(self)
 
         def steps():  # in the helper: its half step from pair p, rows [m-K, n), kept [m, n)
+            stepper = ref()
             right = _TridiagLU(lo[m - k + 1 :], di[m - k :], up[m - k : -1])
-            halves = [self._band(m - k, n, (m, n), self._pairs[p], self._right, self._pairs[1 - p])
-                      for p in (0, 1)]
-            return lambda p: self._advance(halves[p], right.solve)
+            halves = [stepper._band(m - k, n, (m, n), stepper._pairs[p], stepper._right,
+                                    stepper._pairs[1 - p]) for p in (0, 1)]
+            return lambda p: stepper._advance(halves[p], right.solve)
 
         # Shared with the helper: the right system's n-m+K values, then the pairs.
         self._helper = _Helper(n, 5 * n - m + k, steps)

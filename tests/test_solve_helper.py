@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -475,6 +476,24 @@ os._exit(0)
             assert pid is not None and not reaped(pid)
             del stepper
             assert reaped(pid)
+        finally:
+            gc.enable()
+
+    def test_a_stepper_dropped_before_its_first_request_is_freed_at_once(self):
+        """A splitting stepper dropped before it has sent its helper any
+        request (nothing is forked yet) is freed as soon as its last reference
+        goes: the helper's ``steps`` reaches its stepper through a weak
+        reference, so no cycle waits for the garbage collector."""
+        n = solver._SPLIT_MIN_N + 1
+        grid = solver.Grid(x_min=0.0, x_max=(n - 1) * 0.01, h=0.01, dt=0.01)
+        pp = potentials.uniform_potentials(0.0, 0.0, grid.x)
+        gc.disable()
+        try:
+            stepper = solver.Stepper(grid, pp, "dirichlet", second_cpu=True)
+            assert stepper._k == 42 and stepper._helper.pid is None
+            alive = weakref.ref(stepper)
+            del stepper
+            assert alive() is None
         finally:
             gc.enable()
 
