@@ -73,8 +73,37 @@ writes the rows [0, m) of u and v; the helper builds the rows [m-K, n) in
 shared memory, solves them with factors of those rows that it makes at its
 first step, in its own memory, and writes the rows [m, n).  Each reads the
 K+1 values of u (K of v) past the cut that it needs straight from pair p.
-A step taken while the helper runs a call, or from a state that is not one
-of the pairs (the first one, a caller's), is taken whole, into a pair.
+A step from a state that is not one of the pairs (the first one, a
+caller's) is taken whole, into a pair.
+
+A step from a pair solves only the rows of a window [lo, hi), the rows that
+the field occupies; every other row of both pairs holds +0.  The field
+spreads by a factor |dl| or |du/d| per row per step (below), so some
+hundreds of rows past its support its values underflow to an exact +0, and
+an incoming packet's first steps leave most of the grid at +0.  The window's
+rows are solved in place in pair 1 - p's u with the whole matrix's factors
+at offset lo (pivots ipiv - lo), no factorization of their own.  That is the
+whole step to the bit when (1) the input is +0 outside the window and in its
+first and last _GUARD rows, and (2) the output's rows lo and hi - 1 come out
++0 in u and in v: then the whole solve's forward substitution meets only +0
+below lo, its back substitution only +0 from hi on, and every row outside
+the window comes out as from an all-+0 state.  The window is monotone and
+grows by whole chunks of _CHUNK rows: over the rows where a whole step into
+a pair (the first step, a caller's state) outputs anything but +0, a chunk
+to spare on each side; by a chunk where a windowed step's output is not +0
+within _GUARD rows of an edge; and to a boundary that it comes within a
+chunk of.  Rows where a step from all-+0 data outputs anything but +0 (the
+transparent right end's closure leaves -0 parts in its last two rows) are
+in it from the first step on: unless the field is near them, that step
+outputs those parts there.  A step that fails (2) is taken again whole, and
+the window grows over its output; so is a split step whose halves differ
+(below).  A window of all rows is split as above; a partial one only where
+it crosses the cut by more than K on both sides, is longer than the
+helper's half, and the helper is free: this process then solves the rows
+[lo, m+K) at offset lo.  Any other partial window is stepped by this
+process alone, which leaves the helper free to write snapshots.  Where
+zgttrf swapped a row that a window's edge could cut, every step takes all
+rows.
 
 Cutting a system at row m+K changes the back substitution's value there by
 |du/d| |x_{m+K}|, and each row above shrinks the change by |du/d| again; the
@@ -88,13 +117,14 @@ the benchmark's dt = h grids, rho is that of the potential-free matrix,
 3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
 when zgttrf swapped a row within K of the cut, and below n = 3000, where it
 measured no faster.  The bound is on size, not on
-bits; measured, the split solve was ``np.array_equal`` to the whole one at
-every step of whole rn-highenergy and rn-wavepacket runs and of toy runs whose
-packet crosses the cut, and the tests check shortened runs of the three and
-of a reference (Dirichlet) run.
-Since one run mixes split and whole steps, every split solve checks the bits
-it can: the rows m-1 .. m+1, which both halves solve, must agree exactly, or
-the step raises FloatingPointError.
+bits: it is relative to |x| near m+K, and a steep front inside the overlap
+(|x_{m+K}| / |x_m| above 2^53) carries the cut's error into the last bit at
+m.  Measured on rn-wavepacket, the halves differ at no step of the preset
+grids (h = 0.04), at 1 of 12500 steps at h = 0.08 and at 311 of 6250 at
+h = 0.16.  So every split solve checks the bits it can: the rows
+m-1 .. m+1, which both halves solve, must agree exactly, or the step is
+taken again whole, from the pair it read, and counted in
+``Stepper.retaken_steps``.
 """
 
 from __future__ import annotations
@@ -193,7 +223,7 @@ class _OpenBLAS:
     ``factor`` returns zgttrf's factors (dl, d, du, du2, ipiv) and its info;
     ``solver(fact, n)`` returns a solve of the factored system's leading n
     rows, which overwrites the first n values of a contiguous complex128 array
-    and raises RuntimeError if zgttrs fails.
+    and raises RuntimeError if zgttrs fails; it keeps ``fact`` alive.
     """
 
     name = "ctypes"
@@ -227,6 +257,7 @@ class _OpenBLAS:
             if info.value != 0:  # pragma: no cover
                 raise RuntimeError(f"tridiagonal solve failed (info={info.value})")
 
+        solve.factors = fact  # head points into these arrays: alive as long as it is
         return solve
 
 
@@ -314,6 +345,11 @@ _OVERLAP_BITS = 106
 # The whole solve below this n: a step at n = 1501 measured no faster split,
 # at n = 3001 15 % faster.
 _SPLIT_MIN_N = 3000
+# A pair step's window of rows grows by whole chunks; a value that is not +0
+# within _GUARD rows of its edge widens it before the next step.  Measured on
+# rn-wavepacket, every step stood for margins down to 50 rows.
+_CHUNK = 256
+_GUARD = 8
 # Bytes of the pipes between a stepper and its helper process: a step from
 # pair 0 or 1, a call, quit, and the answers.
 _STEPS, _CALL, _QUIT, _OK, _FAILED = (b"0", b"1"), b"c", b"q", b"k", b"f"
@@ -340,6 +376,23 @@ def _overlap(lu: _TridiagLU) -> int | None:
     if k > n // 4 or np.any(ipiv[m - k : m + k] != np.arange(m - k + 1, m + k + 1)):
         return None
     return k
+
+
+def _swapped(ipiv: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether zgttrf swapped a row in [lo, hi): it sets ipiv[i] (1-based) to
+    i + 1 or, after a swap, i + 2, so the sum exceeds that of i + 1 exactly
+    when it swapped one (and needs no array of its own)."""
+    return int(ipiv[lo:hi].sum()) != (lo + 1 + hi) * (hi - lo) // 2
+
+
+def _offset(fact: tuple, lo: int) -> tuple:
+    """zgttrf's factors ``fact`` of a whole matrix, as those of its rows from
+    ``lo`` on: solving the rows [lo, hi) with them is the whole solve cut to
+    those rows (the window of :class:`Stepper`)."""
+    if not lo:
+        return fact
+    dl, d, du, du2, ipiv = fact
+    return dl[lo:], d[lo:], du[lo:], du2[lo:], ipiv[lo:] - lo
 
 
 class _Helper:
@@ -520,19 +573,30 @@ class Stepper:
     of the rows [m-K, n) in the helper's shared memory, and sends the helper
     the rows [m, n) of each step while this process steps the rows [0, m)
     and checks the rows that both solved, spinning on its CPU between
-    steps (yielding it to any other runnable process); a step is taken whole
+    steps (yielding it to any other runnable process); a step is taken unsplit
     while a call runs.  The helper factors its rows of the matrix itself,
     so those factors take no memory here.  :meth:`close` stops the helper.
     ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
     (``driver._spare_cpu``).
 
+    Such a stepper steps on from its own states over a window of the rows
+    that the field occupies, every other row being +0 (module docstring):
+    split, where the window is long and crosses the cut, else by this
+    process alone.  A windowed step is the whole step to the bit where its
+    output is +0 at the window's edges; one that is not, and a split step
+    whose halves differ, is taken again whole.  ``windowed_steps`` counts
+    the steps whose result came from a window of fewer than all rows, and
+    ``retaken_steps`` those taken again; a lone stepper's stay 0.
+
     :meth:`step` never writes its input.  Without a helper that splits, it
     returns fresh arrays.  With one, it returns one of two (u, v) pairs in
     memory shared with the helper, which later steps overwrite: stepping on
-    from the returned state, the step after next.  A state that is not one
-    of the pairs (the first step's, a caller's) is read as given and
-    stepped whole, into a pair that it does not overlap, or into fresh
-    arrays if it overlaps both.  Copy what you keep.
+    from the returned state, the step after next.  Stepping on from such a
+    state reads it only inside the window, so a caller who writes one must
+    pass copies.  A state that is not one of the pairs (the first step's,
+    a caller's) is read as given and stepped whole, into a pair that it
+    does not overlap, or into fresh arrays if it overlaps both.  Copy what
+    you keep.
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).
@@ -601,6 +665,7 @@ class Stepper:
         lu = self._lu = _TridiagLU(lo[1:], di, up[:-1])
         k = self._k = _overlap(lu) if second_cpu and n >= _SPLIT_MIN_N else None
         self._pairs = None
+        self.windowed_steps = self.retaken_steps = 0
         if k is None:  # a helper, if any, that only runs calls
             self._helper = _Helper(n) if second_cpu else None
             return
@@ -612,8 +677,8 @@ class Stepper:
         def steps():  # in the helper: its half step from pair p, rows [m-K, n), kept [m, n)
             stepper = ref()
             right = _TridiagLU(lo[m - k + 1 :], di[m - k :], up[m - k : -1])
-            halves = [stepper._band(m - k, n, (m, n), stepper._pairs[p], stepper._right,
-                                    stepper._pairs[1 - p]) for p in (0, 1)]
+            halves = [stepper._band(m - k, n, (m, n), stepper._pairs[p], stepper._pairs[1 - p],
+                                    stepper._right) for p in (0, 1)]
             return lambda p: stepper._advance(halves[p], right.solve)
 
         # Shared with the helper: the right system's n-m+K values, then the pairs.
@@ -622,21 +687,28 @@ class Stepper:
         self._right = shared[: n - m + k]
         block = shared[n - m + k :].reshape(2, 2, n)
         self._pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
-        # This process's half: rows [0, m+K), kept [0, m).  With no row swap
-        # near the cut, the left system's factors are the whole's first m+K.
+        # each pair's u and v as 64-bit words, two a row: a word is 0 where +0
+        self._bits = block.view(np.uint64)
+        # This process's half: rows [lo, m+K), kept [lo, m).  With no row swap
+        # near the cut, the left system's factors are the whole's rows [lo, m+K).
         self._left = np.empty(m + k, dtype=complex)
-        self._halves = [self._band(0, m + k, (0, m), self._pairs[p], self._left, self._pairs[1 - p])
-                        for p in (0, 1)]
-        self._solve_left = _LAPACK.solver(lu._fact, m + k)
         self._seam = self._left[m - 1 : m + 2], self._right[k - 1 : k + 2]
+        self._plans = None  # per pair stepped from, for the window as it stands
+        # the rows a pair step solves: none until a whole step writes a pair,
+        # and all where a window's edge could cut a row swap
+        self._window = (0, n) if _swapped(lu._fact[4], _CHUNK - 2, n - _CHUNK) else (n, 0)
 
-    def _band(self, lo: int, hi: int, keep: tuple[int, int], src, r: np.ndarray, dst) -> tuple:
+    def _band(self, lo: int, hi: int, keep: tuple[int, int], src, dst, r=None) -> tuple:
         """What :meth:`_advance` works on to step the rows [lo, hi) of the
         system from the pair ``src``: ``r`` takes their right-hand side and
         solution, whose rows ``keep`` = (k0, k1) go to the pair ``dst`` as
-        u's next values, with v's beside them."""
+        u's next values, with v's beside them.  Without ``r``, dst's u takes
+        them itself, and ``keep`` is (lo, hi)."""
         n, w = self.grid.n, self._work
         (u, v), (un, vn), (k0, k1) = src, dst, keep
+        un = un[k0:k1]
+        if r is None:
+            r, un = un, None
         s0, s1 = max(lo - 1, 0), min(hi + 1, n)  # the values of u the rows read
         b0, a1 = max(lo, 1), min(hi, n - 1)  # the rows from which u[j-1], up to which u[j+1], is read
         near = w[: s1 - s0]
@@ -644,7 +716,7 @@ class Stepper:
                 r, r[b0 - lo :], near[b0 - 1 - s0 : hi - 1 - s0], r[: a1 - lo],
                 near[lo + 1 - s0 : a1 + 1 - s0], lo == 0, hi == n,
                 r[k0 - lo : k1 - lo], u[k0:k1], v[k0:k1], w[: k1 - k0],
-                self._a[k0:k1], self._d[k0:k1], vn[k0:k1], un[k0:k1])
+                self._a[k0:k1], self._d[k0:k1], vn[k0:k1], un)
 
     def _whole_band(self, u, v, un, vn) -> tuple:
         """:meth:`_band` of all the rows, from (u, v) to (un, vn), with the
@@ -703,25 +775,98 @@ class Stepper:
                 q = 1
             elif u is pairs[1][0] and v is pairs[1][1]:
                 q = 0
-            if q is not None and self._helper.go(1 - q):
-                self._advance(self._halves[1 - q], self._solve_left)
-                self._helper.join()
-                left, right = self._seam  # the rows m-1 .. m+1, which both halves solved
-                if left.tobytes() != right.tobytes():
-                    raise FloatingPointError(
-                        f"the split solve's halves differ at row {self._work.size // 2} "
-                        f"(K = {self._k})"
-                    )
+            if q is not None:
+                self._pair_step(1 - q)
                 return FieldState(u=pairs[q][0], v=pairs[q][1], t=t)
-            if q is None:  # not a pair: stepped into one that it does not overlap
-                q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
+            # not a pair: stepped into one that it does not overlap
+            q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
         if q is None:
             n = self._work.size  # Grid.n computes it on every read
             un, vn = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
         else:
             un, vn = pairs[q]
         self._advance(self._whole_band(u, v, un, vn), self._lu.solve)
+        if q is not None:
+            self._cover(q)
         return FieldState(u=un, v=vn, t=t)
+
+    def _pair_step(self, p: int) -> None:
+        """Step pair p into pair 1 - p over the window (module docstring):
+        split where :meth:`_plan` allows it and the helper is free, else
+        alone, and taken again whole where a check fails."""
+        q, (lo, hi), n = 1 - p, self._window, self._work.size
+        if lo >= hi:  # no whole step wrote a row that is not +0: pair q is the step
+            self.windowed_steps += 1
+            return
+        if self._plans is None:
+            fact = _offset(self._lu._fact, lo)
+            self._plans = [self._plan(s, fact) for s in (0, 1)]
+        split, alone = self._plans[p]
+        if split is not None and self._helper.go(p):
+            self._advance(*split)
+            self._helper.join()
+            left, right = self._seam  # the rows m-1 .. m+1, which both halves solved
+            stood = left.tobytes() == right.tobytes()
+        else:
+            self._advance(*alone)
+            stood = True
+        if (lo, hi) != (0, n):
+            stood = stood and self._edges(q)
+            self.windowed_steps += stood
+        if not stood:
+            self.retaken_steps += 1
+            self._advance(self._whole_band(*self._pairs[p], *self._pairs[q]), self._lu.solve)
+            self._cover(q)
+
+    def _plan(self, p: int, fact: tuple) -> tuple:
+        """How a step from pair p solves the window's rows [lo, hi), with the
+        whole matrix's factors ``fact`` at offset lo: (split, alone), each
+        :meth:`_advance`'s arguments, split None where it may not split.
+        Alone, this process solves every row in place in pair 1 - p's u.
+        Split, it solves the rows [lo, m+K) and the helper its half, which
+        it may where the window crosses the cut by more than K on both
+        sides and is longer than the helper's half."""
+        (lo, hi), n, k = self._window, self._work.size, self._k
+        m, src, dst = n // 2, self._pairs[p], self._pairs[1 - p]
+        solve = self._lu.solve if (lo, hi) == (0, n) else _LAPACK.solver(fact, hi - lo)
+        alone = self._band(lo, hi, (lo, hi), src, dst), solve
+        split = None
+        if lo < m - k and hi > m + k and hi - lo > n - m + k:
+            split = (self._band(lo, m + k, (lo, m), src, dst, self._left[lo:]),
+                     _LAPACK.solver(fact, m + k - lo))
+        return split, alone
+
+    def _edges(self, q: int) -> bool:
+        """Whether pair q's rows at the window's edges came out +0, as those
+        of a windowed step must to be the whole step's; widens the window
+        where a value that is not +0 lies within _GUARD rows of an edge."""
+        (lo, hi), bits, n = self._window, self._bits[q], self._work.size
+        stood, lo_, hi_ = True, lo, hi
+        if lo and bits[:, 2 * lo : 2 * (lo + _GUARD)].any():
+            stood, lo_ = not bits[:, 2 * lo : 2 * lo + 2].any(), lo - _CHUNK
+        if hi < n and bits[:, 2 * (hi - _GUARD) : 2 * hi].any():
+            stood, hi_ = stood and not bits[:, 2 * hi - 2 : 2 * hi].any(), hi + _CHUNK
+        self._grow(lo_, hi_)
+        return stood
+
+    def _cover(self, q: int) -> None:
+        """Widen the window over the rows where pair q is not +0, and a chunk
+        to spare on each side."""
+        if self._window == (0, self._work.size):
+            return
+        live = self._bits[q].any(axis=0)  # of u or v; words 2j and 2j + 1 are row j
+        if live.any():
+            first, last = int(live.argmax()) // 2, (live.size - 1 - int(live[::-1].argmax())) // 2
+            self._grow(first - _CHUNK, last + 1 + _CHUNK)
+
+    def _grow(self, lo: int, hi: int) -> None:
+        """Widen the window over the rows [lo, hi), in whole chunks, and to a
+        boundary that it comes within a chunk of."""
+        n, c = self._work.size, _CHUNK
+        lo, hi = min(self._window[0], lo // c * c), max(self._window[1], -(-hi // c) * c)
+        window = (0 if lo < c else lo, n if hi > n - c else hi)
+        if window != self._window:
+            self._window, self._plans = window, None
 
     def call(self, fn, u: np.ndarray) -> None:
         """Run ``fn(u)``: in the helper process, on a copy of ``u``, while

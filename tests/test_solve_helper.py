@@ -75,6 +75,13 @@ class TestSameResults:
             pytest.param(replace(_preset("rn-wavepacket", "omega-2.3"), t_final=10.0,
                                  snapshot_stride=100, bc=es.BoundaryMode.REFERENCE),
                          id="rn-wavepacket-reference"),
+            # n = 6251: steep fronts inside the overlap make the halves of
+            # some split steps differ in the last bit (which of them split
+            # depends on the helper's snapshot writes), and those steps are
+            # taken again whole
+            pytest.param(replace(_preset("rn-wavepacket", "omega-2.3"), t_final=100.0,
+                                 grid=es.Grid(x_min=-500.0, x_max=500.0, h=0.16, dt=0.16)),
+                         id="rn-wavepacket-h-0.16"),
         ],
     )
     def test_run_with_the_helper_is_the_run_without(self, case, tmp_path, monkeypatch, made):
@@ -95,9 +102,10 @@ class TestSameResults:
 
 
     def test_a_run_mixes_split_and_whole_steps(self, tmp_path, monkeypatch, made):
-        """Steps taken while the helper writes a snapshot solve whole, the
-        others split, and the run is the run without the helper."""
-        case = replace(_preset("rn-wavepacket", "omega-2.3"), t_final=20.0, snapshot_stride=100)
+        """Where every row is live, so that the window is all rows, steps
+        taken while the helper writes a snapshot solve whole, the others
+        split, and the run is the run without the helper."""
+        case = replace(_preset("rn-highenergy", "omega-100"), t_final=2.0, snapshot_stride=40)
         results, real_run = {}, cli.run
         whole, solve = [], solver._TridiagLU.solve
         monkeypatch.setattr(solver._TridiagLU, "solve",
@@ -110,6 +118,7 @@ class TestSameResults:
             cli._execute(case, tmp_path / str(helper))
         lone, split = made
         assert split._helper is not None and split._k == 42
+        assert split._window == (0, case.grid.n) and split.windowed_steps == 0
         whole_steps = whole.count(split._lu)
         assert whole.count(lone._lu) == case.n_steps
         assert 0 < whole_steps < case.n_steps  # and the other steps split
@@ -126,6 +135,84 @@ class TestSameResults:
         assert forks == []
         assert [s._helper for s in made] == [None]
         assert len(list((tmp_path / "out" / "snapshots").glob("snap_*.csv"))) == 3
+
+
+def _against_lone(cfg: es.SimConfig, steps: int) -> tuple[solver.Stepper, list]:
+    """Steps ``cfg``'s data ``steps`` times with a stepper that has a helper
+    and with a lone one, and checks that every state has the lone stepper's
+    bytes, signed zeros included; returns the first, closed, and its window
+    after each step."""
+    setup = driver.prepare(cfg)
+    ours = solver.Stepper(setup.grid, setup.pp, setup.bc, second_cpu=True)
+    lone = solver.Stepper(setup.grid, setup.pp, setup.bc)
+    a, b, windows = setup.state, setup.state, []
+    try:
+        for _ in range(steps):
+            a, b = ours.step(a), lone.step(b)
+            assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+            windows.append(ours._window)
+    finally:
+        ours.close()
+    return ours, windows
+
+
+class TestWindow:
+    """A stepper with a helper steps only the rows of its window, which the
+    field occupies, and its states are a lone stepper's to the bit."""
+
+    def test_a_packet_in_the_right_half(self):
+        """The transparent right end's closure makes -0 parts from +0 data,
+        so the window reaches it from the first step on; every step after
+        the first, whole one, is windowed, and the window grows with the
+        field."""
+        cfg = _preset("rn-wavepacket", "omega-2.3")
+        zero = np.zeros(cfg.grid.n, dtype=complex)
+        setup = driver.prepare(cfg)
+        after = solver.Stepper(setup.grid, setup.pp, setup.bc).step(es.FieldState(zero, zero))
+        live = np.flatnonzero(np.concatenate([after.u, after.v]).view(np.uint64))
+        assert sorted({(j // 2) % cfg.grid.n for j in live}) == [cfg.grid.n - 2, cfg.grid.n - 1]
+        stepper, windows = _against_lone(cfg, 500)
+        (first, _), (lo, hi) = windows[0], windows[-1]
+        assert cfg.grid.n // 2 < lo < first and hi == cfg.grid.n
+        assert (stepper.windowed_steps, stepper.retaken_steps) == (499, 0)
+
+    @pytest.mark.parametrize("x0", [250.0, -250.0])
+    def test_a_reference_run(self, x0):
+        """u = v = 0 at both ends of the enlarged grid, which all-+0 data
+        leave +0, so the window has two edges, in the half of the packet."""
+        cfg = replace(_preset("rn-wavepacket", "omega-2.3"), t_final=10.0,
+                      bc=es.BoundaryMode.REFERENCE)
+        cfg = replace(cfg, data=replace(cfg.data, x0=x0))
+        stepper, windows = _against_lone(cfg, 250)
+        (lo, hi), m = windows[-1], stepper.grid.n // 2
+        assert (m < lo < hi < stepper.grid.n) if x0 > 0 else (0 < lo < hi < m)
+        assert (stepper.windowed_steps, stepper.retaken_steps) == (249, 0)
+
+    def test_a_packet_across_the_cut_splits_its_window(self, monkeypatch):
+        started, go = [], solver._Helper.go
+        monkeypatch.setattr(solver._Helper, "go",
+                            lambda helper, p: started.append(go(helper, p)) or started[-1])
+        cfg = _preset("rn-wavepacket", "omega-2.3")
+        stepper, windows = _against_lone(replace(cfg, data=replace(cfg.data, x0=0.0)), 200)
+        n, m, k = cfg.grid.n, cfg.grid.n // 2, stepper._k
+        assert all(0 < lo < m - k and hi == n for lo, hi in windows)
+        assert sum(started) == stepper.windowed_steps == 199  # the helper, not writing, took half
+
+    def test_a_field_at_the_edge_is_stepped_again_whole(self, monkeypatch):
+        """With chunks of 8 rows and one guard row, the field reaches the
+        window's edge before the window widens: those steps are taken again
+        whole, and counted."""
+        monkeypatch.setattr(solver, "_CHUNK", 8)
+        monkeypatch.setattr(solver, "_GUARD", 1)
+        stepper, _ = _against_lone(_preset("rn-wavepacket", "omega-2.3"), 100)
+        assert stepper.retaken_steps > 0
+        assert stepper.windowed_steps + stepper.retaken_steps == 99
+
+    def test_the_scipy_binding(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_LAPACK", solver._lapack(tmp_path))  # no library there
+        assert solver._LAPACK.name == "scipy"
+        stepper, _ = _against_lone(_preset("rn-wavepacket", "omega-2.3"), 100)
+        assert stepper.windowed_steps == 99
 
 
 class TestLibraryDefault:

@@ -509,26 +509,25 @@ class TestSplitSolve:
         assert solves.count(whole._lu) == 15
         assert solves.count(split._lu) == 3
 
-    def test_halves_that_differ_are_a_numerical_failure(self, monkeypatch):
+    def test_halves_that_differ_are_taken_again_whole(self, monkeypatch):
         """The rows m-1 .. m+1, which both halves solve, are compared bit for
-        bit: an overlap of 2 rows where the factors need 42 makes them differ."""
-        for k, differ in ((42, False), (2, True)):
+        bit: an overlap of 2 rows where the factors need 42 makes them
+        differ, and each such step is counted and taken again whole, from
+        the pair it read, so the states are the lone stepper's."""
+        for k, retaken in ((42, 0), (2, 3)):
             monkeypatch.setattr(solver, "_overlap", lambda lu: k)
             stepper, state = _split_stepper()
             lone = Stepper(stepper.grid, uniform_potentials(0.0, 0.0, stepper.grid.x),
                            BoundaryMode.DIRICHLET)
             try:
                 assert stepper._k == k
-                first = stepper.step(state)  # whole: the state is not the stepper's
-                if differ:
-                    m = stepper.grid.n // 2
-                    with pytest.raises(FloatingPointError, match=f"differ at row {m}"):
-                        stepper.step(first)
-                else:
-                    ours = stepper.step(first)
-                    theirs = lone.step(lone.step(state))
-                    assert np.array_equal(ours.u, theirs.u)
-                    assert np.array_equal(ours.v, theirs.v)
+                ours = theirs = state
+                for _ in range(4):  # the first whole: the state is not the stepper's
+                    ours, theirs = stepper.step(ours), lone.step(theirs)
+                    assert ours.u.tobytes() == theirs.u.tobytes()
+                    assert ours.v.tobytes() == theirs.v.tobytes()
+                assert stepper._window == (0, stepper.grid.n)  # every row is live
+                assert stepper.retaken_steps == retaken
             finally:
                 stepper.close()
 
@@ -589,6 +588,21 @@ class TestSplitSolve:
                 helper.join()
         finally:
             helper.close()
+
+    def test_zeros_on_a_dirichlet_grid_leave_an_empty_window(self):
+        """A whole step from u = v = 0 outputs +0 on every row of a Dirichlet
+        grid, so no row is live and a step from a pair solves none."""
+        stepper, _ = _split_stepper()
+        zero = np.zeros(stepper.grid.n, dtype=complex)
+        try:
+            state = stepper.step(make_state(None, zero, zero))
+            for _ in range(3):
+                state = stepper.step(state)
+            assert stepper._window[0] >= stepper._window[1]
+            assert stepper.windowed_steps == 3 and stepper._helper.pid is None
+            assert not state.u.view(np.uint64).any() and not state.v.view(np.uint64).any()
+        finally:
+            stepper.close()
 
     def test_step_never_writes_its_input(self):
         """A helper stepper steps on from its own states, in two pairs of
