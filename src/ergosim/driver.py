@@ -205,9 +205,7 @@ def run(
 
     # (stride, sampler): a sampler runs at every step k with k % stride == 0,
     # and at the last step.  The snapshot goes first: a helper writes it while
-    # the others sample, and where the first write forks the helper, the
-    # stepper frees the matrix rows it kept for the fork before the others
-    # allocate (peak RSS otherwise rose 0.1-0.4 MB on the black-hole runs).
+    # the others sample.
     schedule = [(cfg.snapshot_stride, sample_snapshot), (cfg.energy_stride, sample_energy)]
     schedule += [(1, probe.sample) for probe in probes]
 

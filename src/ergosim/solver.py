@@ -70,9 +70,10 @@ pairs in memory shared with the helper; a step reads pair p and writes pair
 1 - p.  The stepper builds the right-hand side's rows [0, m+K) in a scratch
 array of its own, solves them with the whole matrix's leading factors and
 writes the rows [0, m) of u and v; the helper builds the rows [m-K, n) in
-shared memory, solves them with factors of those rows that it makes at its
-first step, in its own memory, and writes the rows [m, n).  Each reads the
-K+1 values of u (K of v) past the cut that it needs straight from pair p.
+shared memory, solves them with the whole matrix's factors at offset m-K
+(below), and writes the rows [m, n).  Each reads the K+1 values of u (K of
+v) past the cut that it needs straight from pair p.  So a run factors its
+matrix once, before the fork, and the helper factors nothing.
 A step from a state that is not one of the pairs (the first one, a
 caller's) is taken whole, into a pair.
 
@@ -106,25 +107,26 @@ zgttrf swapped a row that a window's edge could cut, every step takes all
 rows.
 
 Cutting a system at row m+K changes the back substitution's value there by
-|du/d| |x_{m+K}|, and each row above shrinks the change by |du/d| again; the
-right system's first rows change the forward elimination by |dl| per row in
-the same way.  So with rho the largest of |dl| and |du/d| over the rows
-within n/4 of the cut, the halves differ from the whole solve at row m by at
-most about rho^K of the solution's size near m+K (the decay of the inverse's
-entries, Demko, Moss and Smith 1984, Math. Comp. 43).  K = ceil(106 ln 2 /
--ln rho) makes rho^K <= 2^-106, far below half an ulp.  On the presets' and
-the benchmark's dt = h grids, rho is that of the potential-free matrix,
-3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
-when zgttrf swapped a row within K of the cut, and below n = 3000, where it
-measured no faster.  The bound is on size, not on
-bits: it is relative to |x| near m+K, and a steep front inside the overlap
-(|x_{m+K}| / |x_m| above 2^53) carries the cut's error into the last bit at
-m.  Measured on rn-wavepacket, the halves differ at no step of the preset
-grids (h = 0.04), at 1 of 12500 steps at h = 0.08 and at 311 of 6250 at
-h = 0.16.  So every split solve checks the bits it can: the rows
-m-1 .. m+1, which both halves solve, must agree exactly, or the step is
-taken again whole, from the pair it read, and counted in
-``Stepper.retaken_steps``.
+|du/d| |x_{m+K}|, and each row above shrinks the change by |du/d| again;
+starting the right half's forward substitution at row m-K, with the whole
+matrix's factors from that row on, drops the carry from the rows above it,
+a change that each row below shrinks by |dl|.  So with rho the largest of
+|dl| and |du/d| over the rows within n/4 of the cut, the halves differ from
+the whole solve at row m by at most about rho^K of the solution's size near
+m+K or m-K (the decay of the inverse's entries, Demko, Moss and Smith 1984,
+Math. Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes rho^K <= 2^-106, far
+below half an ulp.  On the presets' and the benchmark's dt = h grids, rho
+is that of the potential-free matrix, 3 - 2 sqrt(2) = 0.1716, and K = 42.
+The split is kept off when K > n/4, when zgttrf swapped a row within K of
+the cut, and below n = 3000, where it measured no faster.  The bound is on
+size, not on bits: it is relative to |x| near the overlap's ends, and a
+steep front inside the overlap (|x_{m+K}| / |x_m| above 2^53, say) carries
+the cut's error into the last bit at m.  Measured on rn-wavepacket, the
+halves differ at no step of the preset grids (h = 0.04), at 1 of 12500
+steps at h = 0.08 and at 311 of 6250 at h = 0.16.  So every split solve
+checks the bits it can: the rows m-1 .. m+1, which both halves solve, must
+agree exactly, or the step is taken again whole, from the pair it read,
+and counted in ``Stepper.retaken_steps``.
 """
 
 from __future__ import annotations
@@ -372,8 +374,7 @@ def _overlap(lu: _TridiagLU) -> int | None:
     if rho >= 1.0:
         return None
     k = math.ceil(_OVERLAP_BITS * math.log(2.0) / -math.log(rho))
-    # ipiv is 1-based; row i kept its place when ipiv[i] == i + 1
-    if k > n // 4 or np.any(ipiv[m - k : m + k] != np.arange(m - k + 1, m + k + 1)):
+    if k > n // 4 or _swapped(ipiv, m - k, m + k):
         return None
     return k
 
@@ -401,23 +402,22 @@ class _Helper:
 
     A call (:meth:`call`) runs a pickled function on a copy of u, which goes
     through a slot of ``n`` values in memory shared with the helper.  A step
-    (:meth:`go`) runs ``step(p)``, with ``step = steps()`` made in the helper
-    at its first step, and :meth:`join` waits for it.  ``shared``, ``size``
-    more complex values in that memory, are for the steps and their sender;
-    the helper reads none of them itself.  ``steps`` must reach its sender
-    through a weak reference, or the two would stay in a cycle until the
-    garbage collector runs; only the helper keeps it after the fork.  Each
-    request and each answer is one byte on one of two pipes, and the rest
-    goes through shared memory.  Both sides read with non-blocking reads and
-    spin on them, yielding the CPU after each empty one, except a helper
-    without ``steps``, which blocks.
+    (:meth:`go`) runs ``step(p)`` in the helper, and :meth:`join` waits for
+    it.  ``shared``, ``size`` more complex values in that memory, are for the
+    steps and their sender; the helper reads none of them itself.  ``step``
+    must reach its sender through a weak reference, or the two would stay in
+    a cycle until the garbage collector runs.  Each request and each answer
+    is one byte on one of two pipes, and the rest goes through shared
+    memory.  Both sides read with non-blocking reads and spin on them,
+    yielding the CPU after each empty one, except a helper without
+    ``step``, which blocks.
     :meth:`close` stops the helper and reaps it; if it is never called, a
     finalizer does the same.
     """
 
-    def __init__(self, n: int, size: int = 0, steps=None):
+    def __init__(self, n: int, size: int = 0, step=None):
         self.pid = None  # until the helper is forked
-        self._steps = steps
+        self._step = step
         self._busy = False  # a call is in flight
         self._closed = False
         # Shared with the helper (an anonymous mmap is MAP_SHARED): a pickled
@@ -427,14 +427,13 @@ class _Helper:
         self._slot, self.shared = values[:n], values[n:]
 
     def _start(self) -> None:
-        """Fork the helper; only the helper keeps ``steps``."""
-        steps, self._steps = self._steps, None
+        """Fork the helper."""
         # This process keeps the go pipe's read end too, so that a request to
         # a helper that has exited is written all the same, and the read of
         # its answer meets EOF.
         go, self._go = os.pipe()
         self._done, done = os.pipe()
-        os.set_blocking(go, steps is None)
+        os.set_blocking(go, self._step is None)
         os.set_blocking(self._done, False)
         owner = os.getpid()
         self.pid = os.fork()
@@ -442,7 +441,7 @@ class _Helper:
             try:
                 os.close(self._go)
                 os.close(self._done)
-                _serve(go, done, steps, self._slot, self._mm, owner)
+                _serve(go, done, self._step, self._slot, self._mm, owner)
             finally:
                 os._exit(0)
         os.close(done)
@@ -508,13 +507,12 @@ class _Helper:
             self._stop()
 
 
-def _serve(go: int, done: int, steps, slot: np.ndarray, mm: mmap.mmap, owner: int) -> None:
-    """The helper's loop: at a step byte run ``step(p)`` for its pair p, with
-    ``step = steps()`` made at the first, at a call byte run the call pickled
-    in ``mm`` on ``slot``, and answer each on ``done``, a failure with its
-    exception pickled in ``mm``; return at a quit byte, at EOF (its stepper's
-    process is gone) or when its parent is no longer ``owner``."""
-    step = None
+def _serve(go: int, done: int, step, slot: np.ndarray, mm: mmap.mmap, owner: int) -> None:
+    """The helper's loop: at a step byte run ``step(p)`` for its pair p, at a
+    call byte run the call pickled in ``mm`` on ``slot``, and answer each on
+    ``done``, a failure with its exception pickled in ``mm``; return at a
+    quit byte, at EOF (its stepper's process is gone) or when its parent is
+    no longer ``owner``."""
     while True:
         try:
             command = os.read(go, 1)
@@ -537,7 +535,6 @@ def _serve(go: int, done: int, steps, slot: np.ndarray, mm: mmap.mmap, owner: in
                 fn, size = pickle.load(mm)
                 fn(slot[:size])
             else:
-                step = step or steps()
                 step(_STEPS.index(command))
             os.write(done, _OK)
         except Exception as exc:  # one that does not pickle ends the helper
@@ -574,8 +571,9 @@ class Stepper:
     the rows [m, n) of each step while this process steps the rows [0, m)
     and checks the rows that both solved, spinning on its CPU between
     steps (yielding it to any other runnable process); a step is taken unsplit
-    while a call runs.  The helper factors its rows of the matrix itself,
-    so those factors take no memory here.  :meth:`close` stops the helper.
+    while a call runs.  Both halves solve with this stepper's one
+    factorization of the whole matrix, the helper's at an offset, so the
+    helper factors nothing.  :meth:`close` stops the helper.
     ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
     (``driver._spare_cpu``).
 
@@ -670,27 +668,24 @@ class Stepper:
             self._helper = _Helper(n) if second_cpu else None
             return
         m = n // 2
-        # a closure over self would hold this stepper and its helper in a
-        # cycle, which only the garbage collector frees
+        # Shared with the helper: the right system's n-m+K values, then the
+        # pairs.  The helper's step reaches this stepper through a weak
+        # reference: a closure over self would hold the two in a cycle,
+        # which only the garbage collector frees.
         ref = weakref.ref(self)
-
-        def steps():  # in the helper: its half step from pair p, rows [m-K, n), kept [m, n)
-            stepper = ref()
-            right = _TridiagLU(lo[m - k + 1 :], di[m - k :], up[m - k : -1])
-            halves = [stepper._band(m - k, n, (m, n), stepper._pairs[p], stepper._pairs[1 - p],
-                                    stepper._right) for p in (0, 1)]
-            return lambda p: stepper._advance(halves[p], right.solve)
-
-        # Shared with the helper: the right system's n-m+K values, then the pairs.
-        self._helper = _Helper(n, 5 * n - m + k, steps)
+        self._helper = _Helper(n, 5 * n - m + k, lambda p: ref()._advance(*ref()._halves[p]))
         shared = self._helper.shared
         self._right = shared[: n - m + k]
         block = shared[n - m + k :].reshape(2, 2, n)
         self._pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
         # each pair's u and v as 64-bit words, two a row: a word is 0 where +0
         self._bits = block.view(np.uint64)
-        # This process's half: rows [lo, m+K), kept [lo, m).  With no row swap
-        # near the cut, the left system's factors are the whole's rows [lo, m+K).
+        # The helper's half step from pair p: rows [m-K, n), kept [m, n),
+        # solved with the whole matrix's factors at offset m-K.
+        right = _LAPACK.solver(_offset(lu._fact, m - k), n - m + k)
+        self._halves = [(self._band(m - k, n, (m, n), self._pairs[p], self._pairs[1 - p],
+                                    self._right), right) for p in (0, 1)]
+        # This process's half: rows [lo, m+K), kept [lo, m).
         self._left = np.empty(m + k, dtype=complex)
         self._seam = self._left[m - 1 : m + 2], self._right[k - 1 : k + 2]
         self._plans = None  # per pair stepped from, for the window as it stands

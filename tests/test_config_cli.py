@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import hashlib
 import importlib.util
@@ -595,9 +596,35 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: ")
         assert not out.exists()
 
-    def test_bad_config_exit_code(self, tmp_path):
-        cfg = self.write(tmp_path, TOY_TEXT.replace("dt = 0.1", "dt = 0.5"))
-        assert main(["--quiet", "run", str(cfg)]) == 2
+    def test_bad_config_exit_code(self, tmp_path, capsys):
+        """Each refusal exits 2 and names what it refuses on stderr."""
+        out = tmp_path / "o"
+        for text, named in (
+            (TOY_TEXT.replace("dt = 0.1", "dt = 0.5"), "CFL"),
+            (TOY_TEXT.replace("t_final = 5", "t_final = 0"), "run.t_final: must be positive"),
+            (TOY_TEXT.replace("t_final = 5", "t_final = -5"), "run.t_final: must be positive"),
+            (TOY_TEXT.replace("label = toy-demo", "label = toy-demo\nsnapshot_stride = 0"),
+             "run.snapshot_stride/energy_stride"),
+            (TOY_TEXT.replace("label = toy-demo", "label = toy-demo\nenergy_stride = 0"),
+             "run.snapshot_stride/energy_stride"),
+            ("kind = toy\n" + TOY_TEXT, "malformed configuration"),  # a key before any section
+            (TOY_TEXT + "[toy]\nalpha = 2\n", "malformed configuration"),  # a section twice
+        ):
+            cfg = self.write(tmp_path, text)
+            assert main(["--output-dir", str(out), "--quiet", "run", str(cfg)]) == 2, named
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_repro_writes_every_run_and_a_summary(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "--quiet", "repro", "free-wave-bc"]) == 0
+        runs = [c.label for c in get_preset("free-wave-bc").configs]
+        assert sorted(p.name for p in (out / "free-wave-bc").iterdir()) == sorted(
+            [*runs, "summary.csv"])
+        for label in runs:
+            assert (out / "free-wave-bc" / label / "config.ini").exists()
+        with open(out / "free-wave-bc" / "summary.csv", encoding="utf-8", newline="") as f:
+            assert [row["label"] for row in csv.DictReader(f)] == runs
 
     def test_t_final_off_the_step_grid_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, TOY_TEXT.replace("t_final = 5", "t_final = 5.05"))

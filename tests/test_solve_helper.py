@@ -139,13 +139,19 @@ class TestSameResults:
 
 def _against_lone(cfg: es.SimConfig, steps: int) -> tuple[solver.Stepper, list]:
     """Steps ``cfg``'s data ``steps`` times with a stepper that has a helper
-    and with a lone one, and checks that every state has the lone stepper's
+    and with a lone one (:func:`_stepped_against_lone`)."""
+    setup = driver.prepare(cfg)
+    return _stepped_against_lone(setup.grid, setup.pp, setup.bc, setup.state, steps)
+
+
+def _stepped_against_lone(grid, pp, bc, state, steps: int) -> tuple[solver.Stepper, list]:
+    """Steps ``state`` ``steps`` times with a stepper that has a helper and
+    with a lone one, and checks that every state has the lone stepper's
     bytes, signed zeros included; returns the first, closed, and its window
     after each step."""
-    setup = driver.prepare(cfg)
-    ours = solver.Stepper(setup.grid, setup.pp, setup.bc, second_cpu=True)
-    lone = solver.Stepper(setup.grid, setup.pp, setup.bc)
-    a, b, windows = setup.state, setup.state, []
+    ours = solver.Stepper(grid, pp, bc, second_cpu=True)
+    lone = solver.Stepper(grid, pp, bc)
+    a, b, windows = state, state, []
     try:
         for _ in range(steps):
             a, b = ours.step(a), lone.step(b)
@@ -197,6 +203,20 @@ class TestWindow:
         n, m, k = cfg.grid.n, cfg.grid.n // 2, stepper._k
         assert all(0 < lo < m - k and hi == n for lo, hi in windows)
         assert sum(started) == stepper.windowed_steps == 199  # the helper, not writing, took half
+
+    def test_a_right_mover_widens_the_window_at_its_right_edge(self):
+        """A packet moving right on a Dirichlet grid (n = 6001), whose window
+        starts short of the right end: the field comes within the guard rows
+        of the window's right edge, which widens by a chunk before the field
+        reaches it, so no step is taken again."""
+        g = es.Grid(x_min=-30.0, x_max=30.0, h=0.01, dt=0.01)
+        u = np.exp(-((g.x + 10.0) ** 2))
+        state = es.FieldState(u.astype(complex), (2.0 * (g.x + 10.0) * u).astype(complex))  # v = -u'
+        stepper, windows = _stepped_against_lone(
+            g, potentials.uniform_potentials(0.0, 0.0, g.x), es.BoundaryMode.DIRICHLET, state, 600)
+        (lo, first), (_, last) = windows[0], windows[-1]
+        assert lo == 0 and first < last < g.n
+        assert (stepper.windowed_steps, stepper.retaken_steps) == (599, 0)
 
     def test_a_field_at_the_edge_is_stepped_again_whole(self, monkeypatch):
         """With chunks of 8 rows and one guard row, the field reaches the
@@ -293,13 +313,13 @@ def _helper_cpu_s(helper: solver._Helper) -> float:
 
 
 def test_a_helper_with_nothing_to_split_blocks():
-    """A helper without ``steps`` (a stepper below the split's crossover
+    """A helper without ``step`` (a stepper below the split's crossover
     makes one) only runs calls, so it blocks on its pipe between them
-    instead of spinning; a helper with ``steps`` spins, which the same
+    instead of spinning; a helper with ``step`` spins, which the same
     measure sees."""
     n = 1001
-    for steps, idle in ((None, True), (lambda: lambda p: None, False)):  # a stand-in half step
-        helper = solver._Helper(n, steps=steps)
+    for step, idle in ((None, True), (lambda p: None, False)):  # a stand-in half step
+        helper = solver._Helper(n, step=step)
         helper.call(len, np.ones(n, dtype=complex))  # forks it at this first request
         helper.wait()
         if idle:

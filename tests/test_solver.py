@@ -563,31 +563,47 @@ class TestSplitSolve:
         with pytest.raises(RuntimeError, match="stopped by close"):
             stepper.step(state)
 
-    def test_singular_right_system_is_an_error(self):
-        # The right system's first column is zero, so zgttrf meets an exact
-        # zero pivot there; the whole matrix keeps its upper entry in that column.
-        n = solver._SPLIT_MIN_N
-        lower, diag, upper = _tridiag(n)
-        first = n // 2 - 42
-        diag[first], lower[first] = 0.0, 0.0
-        solver._TridiagLU(lower, diag, upper)  # the whole matrix factors
+    def test_a_failed_helper_step_raises_at_join_every_time(self):
+        """A step's exception in the helper is pickled back and re-raises at
+        :meth:`join`, and so does that of every later step."""
 
-        def steps():
-            """A stand-in for a stepper's: factor the right system in the
-            helper, and solve its right-hand side there as it stands."""
-            right = solver._TridiagLU(lower[first:], diag[first:], upper[first:])
-            return lambda p: right.solve(helper.shared)
+        def step(p):  # a stand-in for a stepper's half step
+            raise RuntimeError(f"half step from pair {p} failed")
 
-        helper = solver._Helper(n, n - first, steps)
+        helper = solver._Helper(solver._SPLIT_MIN_N, step=step)
         try:
-            assert helper.go(0)
-            with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
-                helper.join()
-            assert helper.go(1)  # and every later step fails the same way
-            with pytest.raises(RuntimeError, match="tridiagonal factorization failed"):
-                helper.join()
+            for p in (0, 1, 0):
+                assert helper.go(p)
+                with pytest.raises(RuntimeError, match=f"from pair {p} failed"):
+                    helper.join()
         finally:
             helper.close()
+
+    def test_the_helper_factors_nothing(self, monkeypatch):
+        """A stepper factors its matrix once, when it is built; the helper,
+        forked later, solves its half with those factors.  With every later
+        factorization refused, here and so in the helper, split steps run
+        and give the lone stepper's bits."""
+        stepper, state = _split_stepper()
+        lone = Stepper(stepper.grid, uniform_potentials(0.0, 0.0, stepper.grid.x),
+                       BoundaryMode.DIRICHLET)
+
+        def refused(*args):
+            raise AssertionError("a second factorization")
+
+        monkeypatch.setattr(solver._LAPACK, "factor", refused)
+        started, go = [], solver._Helper.go
+        monkeypatch.setattr(solver._Helper, "go",
+                            lambda helper, p: started.append(go(helper, p)) or started[-1])
+        try:
+            ours = theirs = state
+            for _ in range(5):  # the first whole: the state is not the stepper's
+                ours, theirs = stepper.step(ours), lone.step(theirs)
+                assert ours.u.tobytes() == theirs.u.tobytes()
+                assert ours.v.tobytes() == theirs.v.tobytes()
+            assert started == [True] * 4 and stepper.retaken_steps == 0
+        finally:
+            stepper.close()
 
     def test_zeros_on_a_dirichlet_grid_leave_an_empty_window(self):
         """A whole step from u = v = 0 outputs +0 on every row of a Dirichlet
