@@ -42,7 +42,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -87,21 +87,46 @@ def _write_table(
     each: inf, nan, |x| ≥ 2^996, 0 < |x| < 2^-900, values next to a power of
     ten and exact or near ties in the 17th digit.
     """
-    rows, cols = table.shape
-    step = max(1, _BLOCK_VALUES // cols)
     with path.open("wb") as fh:
         if header is not None:
             fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, rows, step):
-            fh.write(format_rows(table[start : start + step], newline))
+        fh.writelines(_row_blocks(table, newline))
+
+
+def _row_blocks(table: np.ndarray, newline: str):
+    """The text of ``table``'s rows, a block of rows at a time."""
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    for start in range(0, table.shape[0], step):
+        yield format_rows(table[start : start + step], newline)
+
+
+@lru_cache(maxsize=1)
+def _zero_rows(grid: Grid) -> tuple[bytes, np.ndarray]:
+    """The snapshot rows of u = +0 on ``grid``, ``x,0,0,0``, as one text,
+    and the offset in it of each row's end."""
+    table = np.zeros((grid.n, 4))
+    table[:, 0] = grid.x
+    text = b"".join(_row_blocks(table, "\r\n"))
+    return text, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
 
 
 def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
-    """One snapshot file: columns x, Re u, Im u, |u|."""
-    # hypot, not np.abs: numpy's vectorized complex abs can differ from the
-    # scalar abs(complex) by one ulp, and the snapshot bytes would change.
-    table = np.column_stack((grid.x, u.real, u.imag, np.hypot(u.real, u.imag)))
-    _write_table(path, ["x", "re_u", "im_u", "abs_u"], table)
+    """One snapshot file: columns x, Re u, Im u, |u|, with the bytes of
+    :func:`_write_table` over them all.  The rows before the first one whose
+    u is not +0 in both parts (an incoming packet's snapshots have thousands)
+    are cut from the text of all +0 rows, which each process builds once per
+    grid, and only for a snapshot that has such rows."""
+    live = (u.real.view(np.uint64) | u.imag.view(np.uint64)) != 0  # -0 is live: it prints "-0"
+    head = int(live.argmax()) if live.any() else u.size
+    with path.open("wb") as fh:
+        fh.write(b"x,re_u,im_u,abs_u\r\n")
+        if head:
+            text, ends = _zero_rows(grid)
+            fh.write(memoryview(text)[: ends[head - 1]])
+        re, im = u.real[head:], u.imag[head:]
+        # hypot, not np.abs: numpy's vectorized complex abs can differ from
+        # the scalar abs(complex) by one ulp, and the snapshot bytes would change.
+        fh.writelines(_row_blocks(np.column_stack((grid.x[head:], re, im, np.hypot(re, im))), "\r\n"))
 
 
 class _SnapshotWriter:

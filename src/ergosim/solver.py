@@ -63,19 +63,22 @@ With ``second_cpu``, a helper process, forked at the first request it is
 sent, runs on a second CPU.  It knows nothing of the scheme: it runs the
 calls handed to it (a snapshot file's write, say) on a copy of u, and the
 half steps that its :class:`Stepper` sends it.  The stepper alone decides
-how a step is split, the partition method of Wang 1981 (ACM TOMS 7): its
-solve becomes two overlapping systems, rows [0, m+K) and [m-K, n) of the
-matrix, m = n/2, each solved alone.  u and v then live in two ping-pong
-pairs in memory shared with the helper; a step reads pair p and writes pair
-1 - p.  The stepper builds the right-hand side's rows [0, m+K) in a scratch
-array of its own, solves them with the whole matrix's leading factors and
-writes the rows [0, m) of u and v; the helper builds the rows [m-K, n) in
-shared memory, solves them with the whole matrix's factors at offset m-K
-(below), and writes the rows [m, n).  Each reads the K+1 values of u (K of
-v) past the cut that it needs straight from pair p.  So a run factors its
-matrix once, before the fork, and the helper factors nothing.
-A step from a state that is not one of the pairs (the first one, a
-caller's) is taken whole, into a pair.
+how a step is split, the partition method of Wang 1981 (ACM TOMS 7): the
+solve of rows [lo, hi) becomes two overlapping systems, rows [lo, c+K) and
+[c-K, hi) of the matrix, cut at c, each solved alone.  u and v then live in
+two ping-pong pairs in memory shared with the helper; a step reads pair p
+and writes pair 1 - p.  The stepper builds the right-hand side's rows
+[lo, c+K) in a scratch array of its own, solves them with the whole
+matrix's factors at offset lo (below) and writes the rows [lo, c) of u and
+v; the helper builds the rows [c-K, hi) in shared memory, solves them with
+the whole matrix's factors at offset c-K, and writes the rows [c, hi).
+Each reads the K+1 values of u (K of v) past the cut that it needs straight
+from pair p.  So a run factors its matrix once, before the fork, and the
+helper factors nothing.  The helper sees the stepper as it was at the fork,
+so the stepper writes c and hi into the shared memory, and the helper
+rebuilds its half's arguments when they change.  A step from a state that
+is not one of the pairs (the first one, a caller's) is taken whole, into a
+pair.
 
 A step from a pair solves only the rows of a window [lo, hi), the rows that
 the field occupies; every other row of both pairs holds +0.  The field
@@ -98,35 +101,36 @@ transparent right end's closure leaves -0 parts in its last two rows) are
 in it from the first step on: unless the field is near them, that step
 outputs those parts there.  A step that fails (2) is taken again whole, and
 the window grows over its output; so is a split step whose halves differ
-(below).  A window of all rows is split as above; a partial one only where
-it crosses the cut by more than K on both sides, is longer than the
-helper's half, and the helper is free: this process then solves the rows
-[lo, m+K) at offset lo.  Any other partial window is stepped by this
-process alone, which leaves the helper free to write snapshots.  Where
+(below).  A window is split at its middle, c = (lo + hi) // 2 (c = m =
+n // 2 for all rows), where it has at least _SPLIT_MIN_N rows, and so more
+than K on each side of c, and the helper is free; otherwise this process
+steps it alone, which leaves the helper free to write snapshots.  Where
 zgttrf swapped a row that a window's edge could cut, every step takes all
 rows.
 
-Cutting a system at row m+K changes the back substitution's value there by
-|du/d| |x_{m+K}|, and each row above shrinks the change by |du/d| again;
-starting the right half's forward substitution at row m-K, with the whole
+Cutting a system at row c+K changes the back substitution's value there by
+|du/d| |x_{c+K}|, and each row above shrinks the change by |du/d| again;
+starting the right half's forward substitution at row c-K, with the whole
 matrix's factors from that row on, drops the carry from the rows above it,
 a change that each row below shrinks by |dl|.  So with rho the largest of
-|dl| and |du/d| over the rows within n/4 of the cut, the halves differ from
-the whole solve at row m by at most about rho^K of the solution's size near
-m+K or m-K (the decay of the inverse's entries, Demko, Moss and Smith 1984,
-Math. Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes rho^K <= 2^-106, far
-below half an ulp.  On the presets' and the benchmark's dt = h grids, rho
-is that of the potential-free matrix, 3 - 2 sqrt(2) = 0.1716, and K = 42.
-The split is kept off when K > n/4, when zgttrf swapped a row within K of
-the cut, and below n = 3000, where it measured no faster.  The bound is on
-size, not on bits: it is relative to |x| near the overlap's ends, and a
-steep front inside the overlap (|x_{m+K}| / |x_m| above 2^53, say) carries
-the cut's error into the last bit at m.  Measured on rn-wavepacket, the
-halves differ at no step of the preset grids (h = 0.04), at 1 of 12500
-steps at h = 0.08 and at 311 of 6250 at h = 0.16.  So every split solve
-checks the bits it can: the rows m-1 .. m+1, which both halves solve, must
-agree exactly, or the step is taken again whole, from the pair it read,
-and counted in ``Stepper.retaken_steps``.
+|dl| and |du/d| over the rows that a cut's overlap can reach, the halves
+differ from the whole solve at row c by at most about rho^K of the
+solution's size near c+K or c-K (the decay of the inverse's entries, Demko,
+Moss and Smith 1984, Math. Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes
+rho^K <= 2^-106, far below half an ulp.  On the presets' and the
+benchmark's dt = h grids, rho is that of the potential-free matrix,
+3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
+or K > 1244, which keeps every overlap out of the first and last _CHUNK
+rows; when zgttrf swapped a row within K of m; and below n = 3000, where it
+measured no faster.  The bound is on size, not on bits: it is relative to
+|x| near the overlap's ends, and a steep front inside the overlap
+(|x_{c+K}| / |x_c| above 2^53, say) carries the cut's error into the last
+bit at c.  Measured on rn-wavepacket to T = 1000, the halves differed at 1
+of 12500 steps at h = 0.08 and at 311 of 6250 at h = 0.16 while every cut
+was at m, and at none of either since windows are cut at their middle.  So
+every split solve checks the bits it can: the rows c-1 .. c+1, which both
+halves solve, must agree exactly, or the step is taken again whole, from
+the pair it read, and counted in ``Stepper.retaken_steps``.
 """
 
 from __future__ import annotations
@@ -361,20 +365,27 @@ _MESSAGE_BYTES = 1 << 20
 
 
 def _overlap(lu: _TridiagLU) -> int | None:
-    """The overlap K of a split at m = n // 2, from ``lu``'s factors, or None
-    where the whole solve is kept: K > n/4, or a row swap within K of m.
+    """The overlap K of a split, from ``lu``'s factors, or None where the
+    whole solve is kept: K > n/4 or K > _SPLIT_MIN_N/2 - _CHUNK, or a row
+    swap within K of m = n // 2, the cut of a window of all rows.
 
     rho bounds the per-row decay of an error in the forward (|dl|) and back
-    (|du/d|) substitutions over the rows within n/4 of the cut.
+    (|du/d|) substitutions over the rows [_CHUNK, n - _CHUNK), which hold
+    every split's overlap: a window that splits has at least _SPLIT_MIN_N/2
+    rows on each side of its cut.
     """
     dl, d, du, _, ipiv = lu._fact
     n, m = lu.n, lu.n // 2
-    near = slice(m - n // 4, m + n // 4)
-    rho = max(np.abs(dl[near]).max(), np.abs(du[near] / d[near]).max())
+    rho, top = 0.0, n - _CHUNK
+    # 4096 rows at a time: temporaries of all n rows raised the peak RSS of
+    # the benchmark's black-hole runs (n = 20001, 25001) by 0.15-0.28 MB
+    for j in range(_CHUNK, top, 4096):
+        e = min(j + 4096, top)
+        rho = max(rho, np.abs(dl[j - 1 : e - 1]).max(), np.abs(du[j:e] / d[j:e]).max())  # dl[j-1] is row j's
     if rho >= 1.0:
         return None
     k = math.ceil(_OVERLAP_BITS * math.log(2.0) / -math.log(rho))
-    if k > n // 4 or _swapped(ipiv, m - k, m + k):
+    if k > min(n // 4, _SPLIT_MIN_N // 2 - _CHUNK) or _swapped(ipiv, m - k, m + k):
         return None
     return k
 
@@ -567,8 +578,8 @@ class Stepper:
     handed to it by :meth:`call`.  Where the grid is large enough and the
     factors allow it (module docstring), this stepper splits each step: it
     chooses the overlap K, lays out the shared pairs and the right-hand side
-    of the rows [m-K, n) in the helper's shared memory, and sends the helper
-    the rows [m, n) of each step while this process steps the rows [0, m)
+    of the helper's rows in the helper's shared memory, and sends the helper
+    the rows [c, hi) of each step while this process steps the rows [lo, c)
     and checks the rows that both solved, spinning on its CPU between
     steps (yielding it to any other runnable process); a step is taken unsplit
     while a call runs.  Both halves solve with this stepper's one
@@ -579,12 +590,14 @@ class Stepper:
 
     Such a stepper steps on from its own states over a window of the rows
     that the field occupies, every other row being +0 (module docstring):
-    split, where the window is long and crosses the cut, else by this
-    process alone.  A windowed step is the whole step to the bit where its
-    output is +0 at the window's edges; one that is not, and a split step
-    whose halves differ, is taken again whole.  ``windowed_steps`` counts
-    the steps whose result came from a window of fewer than all rows, and
-    ``retaken_steps`` those taken again; a lone stepper's stay 0.
+    split at the window's middle, where it has _SPLIT_MIN_N rows, else by
+    this process alone.  A windowed step is the whole step to the bit where
+    its output is +0 at the window's edges; one that is not, and a split
+    step whose halves differ, is taken again whole.
+    ``windowed_steps`` counts the steps whose result came from a window of
+    fewer than all rows, ``split_steps`` those whose result came from a
+    split solve, and ``retaken_steps`` those taken again; a lone stepper's
+    stay 0.
 
     :meth:`step` never writes its input.  Without a helper that splits, it
     returns fresh arrays.  With one, it returns one of two (u, v) pairs in
@@ -656,39 +669,39 @@ class Stepper:
             di[-1] = 1.0 / dt - 0.5j * pp.v[-1] + 0.5 / h
             lo[-1] = -0.5 / h
 
-        # scratch: _work holds one product at a time, and the helper process
-        # its own copy of it
-        self._work = np.empty(n, dtype=complex)
-        self._shifts = self._work[:-1], self._work[1:]
         lu = self._lu = _TridiagLU(lo[1:], di, up[:-1])
         k = self._k = _overlap(lu) if second_cpu and n >= _SPLIT_MIN_N else None
+        # scratch: _work holds one product at a time, and the helper process
+        # its own copy of it.  A split's half, rows [lo, c+K), at most m+K,
+        # is solved past the first m+K+2 values, which are all that its
+        # band's products use: so a split touches no scratch that a whole
+        # step does not.
+        scratch = np.empty(n if k is None else 2 * (n // 2 + k + 1), dtype=complex)
+        self._work = scratch[:n]
+        self._shifts = self._work[:-1], self._work[1:]
         self._pairs = None
-        self.windowed_steps = self.retaken_steps = 0
+        self._windowed = self._retaken = self._split = 0
         if k is None:  # a helper, if any, that only runs calls
             self._helper = _Helper(n) if second_cpu else None
             return
         m = n // 2
-        # Shared with the helper: the right system's n-m+K values, then the
-        # pairs.  The helper's step reaches this stepper through a weak
-        # reference: a closure over self would hold the two in a cycle,
-        # which only the garbage collector frees.
+        # Shared with the helper: the right system's values, at most n-m+K
+        # of them (hi-c+K), the pairs, then the cut c and the window's end
+        # hi as two 64-bit words.  The helper's step reaches this stepper
+        # through a weak reference: a closure over self would hold the two
+        # in a cycle, which only the garbage collector frees.
         ref = weakref.ref(self)
-        self._helper = _Helper(n, 5 * n - m + k, lambda p: ref()._advance(*ref()._halves[p]))
+        self._helper = _Helper(n, 5 * n - m + k + 1, lambda p: ref()._right_half(p))
         shared = self._helper.shared
         self._right = shared[: n - m + k]
-        block = shared[n - m + k :].reshape(2, 2, n)
+        block = shared[n - m + k : -1].reshape(2, 2, n)
+        self._cut = shared[-1:].view(np.int64)
         self._pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
         # each pair's u and v as 64-bit words, two a row: a word is 0 where +0
         self._bits = block.view(np.uint64)
-        # The helper's half step from pair p: rows [m-K, n), kept [m, n),
-        # solved with the whole matrix's factors at offset m-K.
-        right = _LAPACK.solver(_offset(lu._fact, m - k), n - m + k)
-        self._halves = [(self._band(m - k, n, (m, n), self._pairs[p], self._pairs[1 - p],
-                                    self._right), right) for p in (0, 1)]
-        # This process's half: rows [lo, m+K), kept [lo, m).
-        self._left = np.empty(m + k, dtype=complex)
-        self._seam = self._left[m - 1 : m + 2], self._right[k - 1 : k + 2]
+        self._left = scratch[m + k + 2 :]
         self._plans = None  # per pair stepped from, for the window as it stands
+        self._halves = None  # in the helper: (c, hi) and its half step from each pair
         # the rows a pair step solves: none until a whole step writes a pair,
         # and all where a window's edge could cut a row swap
         self._window = (0, n) if _swapped(lu._fact[4], _CHUNK - 2, n - _CHUNK) else (n, 0)
@@ -762,6 +775,21 @@ class Stepper:
         if un is not None:
             un[...] = r_kept
 
+    @property
+    def windowed_steps(self) -> int:
+        """Steps whose result came from a window of fewer than all rows."""
+        return self._windowed
+
+    @property
+    def retaken_steps(self) -> int:
+        """Steps taken again whole after a failed check."""
+        return self._retaken
+
+    @property
+    def split_steps(self) -> int:
+        """Steps whose result came from a split solve, half of it the helper's."""
+        return self._split
+
     def step(self, state: FieldState) -> FieldState:
         u, v, t, pairs = state.u, state.v, state.t + self.grid.dt, self._pairs
         q = None  # the pair this step writes
@@ -791,45 +819,63 @@ class Stepper:
         alone, and taken again whole where a check fails."""
         q, (lo, hi), n = 1 - p, self._window, self._work.size
         if lo >= hi:  # no whole step wrote a row that is not +0: pair q is the step
-            self.windowed_steps += 1
+            self._windowed += 1
             return
         if self._plans is None:
             fact = _offset(self._lu._fact, lo)
             self._plans = [self._plan(s, fact) for s in (0, 1)]
-        split, alone = self._plans[p]
-        if split is not None and self._helper.go(p):
+            self._cut[:] = (lo + hi) // 2, hi  # the helper's half (_right_half)
+        split, seam, alone = self._plans[p]
+        halves = split is not None and self._helper.go(p)
+        if halves:
             self._advance(*split)
             self._helper.join()
-            left, right = self._seam  # the rows m-1 .. m+1, which both halves solved
-            stood = left.tobytes() == right.tobytes()
+            stood = seam[0].tobytes() == seam[1].tobytes()
         else:
             self._advance(*alone)
             stood = True
         if (lo, hi) != (0, n):
             stood = stood and self._edges(q)
-            self.windowed_steps += stood
+            self._windowed += stood
+        self._split += halves and stood
         if not stood:
-            self.retaken_steps += 1
+            self._retaken += 1
             self._advance(self._whole_band(*self._pairs[p], *self._pairs[q]), self._lu.solve)
             self._cover(q)
 
     def _plan(self, p: int, fact: tuple) -> tuple:
         """How a step from pair p solves the window's rows [lo, hi), with the
-        whole matrix's factors ``fact`` at offset lo: (split, alone), each
-        :meth:`_advance`'s arguments, split None where it may not split.
-        Alone, this process solves every row in place in pair 1 - p's u.
-        Split, it solves the rows [lo, m+K) and the helper its half, which
-        it may where the window crosses the cut by more than K on both
-        sides and is longer than the helper's half."""
-        (lo, hi), n, k = self._window, self._work.size, self._k
-        m, src, dst = n // 2, self._pairs[p], self._pairs[1 - p]
-        solve = self._lu.solve if (lo, hi) == (0, n) else _LAPACK.solver(fact, hi - lo)
+        whole matrix's factors ``fact`` at offset lo: (split, seam, alone),
+        split and alone :meth:`_advance`'s arguments, split None where it
+        may not split.  Alone, this process solves every row in place in
+        pair 1 - p's u.  Split at c = (lo + hi) // 2, it solves the rows
+        [lo, c+K) and the helper the rows [c-K, hi), which they may where
+        the window has _SPLIT_MIN_N rows: then it has more than K (at most
+        _SPLIT_MIN_N/2 - _CHUNK, :func:`_overlap`) on each side of c.  seam
+        holds the rows c-1 .. c+1 of both halves."""
+        (lo, hi), k = self._window, self._k
+        c, src, dst = (lo + hi) // 2, self._pairs[p], self._pairs[1 - p]
+        solve = self._lu.solve if (lo, hi) == (0, self._work.size) else _LAPACK.solver(fact, hi - lo)
         alone = self._band(lo, hi, (lo, hi), src, dst), solve
-        split = None
-        if lo < m - k and hi > m + k and hi - lo > n - m + k:
-            split = (self._band(lo, m + k, (lo, m), src, dst, self._left[lo:]),
-                     _LAPACK.solver(fact, m + k - lo))
-        return split, alone
+        if hi - lo < _SPLIT_MIN_N:
+            return None, None, alone
+        left = self._left[: c + k - lo]
+        split = self._band(lo, c + k, (lo, c), src, dst, left), _LAPACK.solver(fact, c + k - lo)
+        return split, (left[c - 1 - lo : c + 2 - lo], self._right[k - 1 : k + 2]), alone
+
+    def _right_half(self, p: int) -> None:
+        """The helper's half of a split step from pair p: the rows [c-K, hi)
+        of the system, kept [c, hi), solved with the whole matrix's factors
+        at offset c-K, for the (c, hi) that the stepper last wrote.  Runs in
+        the helper, which keeps the bands of one (c, hi) only."""
+        cut = tuple(self._cut.tolist())
+        if self._halves is None or self._halves[0] != cut:
+            (c, hi), k = cut, self._k
+            solve = _LAPACK.solver(_offset(self._lu._fact, c - k), hi - c + k)
+            right = self._right[: hi - c + k]
+            self._halves = cut, [(self._band(c - k, hi, (c, hi), self._pairs[s], self._pairs[1 - s],
+                                             right), solve) for s in (0, 1)]
+        self._advance(*self._halves[1][p])
 
     def _edges(self, q: int) -> bool:
         """Whether pair q's rows at the window's edges came out +0, as those

@@ -6,6 +6,8 @@ byte):
 * the bulk table writer is compared with a copy of the per-cell writer it
   replaced (``csv.writer`` fed ``f"{x:.17g}"`` strings, ``abs`` of each
   ``np.complex128``), on values where formatting or ``abs`` can go wrong;
+  a snapshot, whose rows before the field come from a cached text of +0
+  rows, is compared with the bulk writer over the whole table;
 * the sha256 of every file of a small toy ``ergosim run`` is pinned, once
   with P ≠ 0 (a split step) and once with P = 0 (the unsplit step).  The
   hashes were recorded with the per-cell writer; they depend on the last bits
@@ -36,7 +38,7 @@ from ergosim import _float17, cli, driver, solver
 from ergosim.cli import _SnapshotWriter, _write_snapshot, _write_table, main
 from ergosim.config import _fmt, load_config, parse_config
 from ergosim.presets import get_preset
-from ergosim.solver import FieldState, Grid, Stepper
+from ergosim.solver import BoundaryMode, FieldState, Grid, Stepper
 
 SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, 1e17, -1e17, np.inf, -np.inf, np.nan]
@@ -134,6 +136,68 @@ class TestAgainstPerCellWriter:
                 tmp_path / f"old{k}.csv"
             ).read_bytes()
         assert fallbacks and all(0 < abs(x) < 2.0**-900 for x in fallbacks)
+
+
+def _snapshot_cases(n: int) -> dict[str, np.ndarray]:
+    """Fields of n rows whose snapshot rows start with +0 or do not."""
+    rng = np.random.default_rng(3)
+    live = rng.normal(size=n) + 1j * rng.normal(size=n)
+    head = np.zeros(n, dtype=complex)
+    head[n // 3 :] = live[n // 3 :]
+    signed = head.copy()  # the transparent right end's -0 parts in the last two rows
+    signed[-2:] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    tiny = head.copy()  # subnormals and values below 2^-900, for _float17._fallback
+    tiny[n // 3 : n // 3 + 8] = [5e-324, -5e-324, 2.0**-1000, -(2.0**-950), 1e-310, 2.0**-901,
+                                 complex(0.0, 5e-324), complex(2.0**-1000, -(2.0**-1000))]
+    minus = live.copy()  # a -0 part makes a row live: it prints "-0"
+    minus[0] = complex(0.0, -0.0)
+    return {"head": head, "signed-zeros-at-the-end": signed, "tiny-values": tiny,
+            "all-zero": np.zeros(n, dtype=complex), "no-zero-row": live, "minus-zero-first": minus}
+
+
+class TestSnapshotHead:
+    """A snapshot takes its rows up to the first whose u is not +0 from a text
+    of +0 rows built once per grid; its bytes are those of the whole table."""
+
+    @pytest.fixture(autouse=True)
+    def no_zero_rows(self):
+        cli._zero_rows.cache_clear()
+        yield
+        cli._zero_rows.cache_clear()
+
+    @staticmethod
+    def _assert_table_bytes(tmp_path, grid, u):
+        _write_snapshot(tmp_path / "snap.csv", grid, u)
+        table = np.column_stack((grid.x, u.real, u.imag, np.hypot(u.real, u.imag)))
+        _write_table(tmp_path / "table.csv", ["x", "re_u", "im_u", "abs_u"], table)
+        assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", list(_snapshot_cases(30)))
+    def test_bytes_of_the_whole_table(self, tmp_path, case):
+        n = 3001
+        grid = Grid(x_min=-1.0, x_max=-1.0 + 0.04 * (n - 1), h=0.04, dt=0.04)
+        u = _snapshot_cases(n)[case]
+        self._assert_table_bytes(tmp_path, grid, u)
+        built = cli._zero_rows.cache_info().misses
+        assert built == (not (u.real.view(np.uint64)[0] | u.imag.view(np.uint64)[0]))
+
+    def test_the_zero_rows_are_built_once_per_grid(self, tmp_path):
+        n = 3001
+        grid = Grid(x_min=-1.0, x_max=-1.0 + 0.04 * (n - 1), h=0.04, dt=0.04)
+        for u in _snapshot_cases(n).values():
+            self._assert_table_bytes(tmp_path, grid, u)
+        assert cli._zero_rows.cache_info().misses == 1
+
+    def test_a_dirichlet_run(self, tmp_path):
+        """u = v = 0 at both ends, and a packet whose left side stays +0."""
+        cfg = replace(parse_config(GOLDEN_INI), bc=BoundaryMode.DIRICHLET, snapshot_stride=10,
+                      grid=Grid(x_min=-60.0, x_max=60.0, h=0.05, dt=0.05))
+        result = driver.run(cfg, collect_snapshots=True)
+        heads = []
+        for _, u in result.snapshots:
+            self._assert_table_bytes(tmp_path, cfg.grid, u)
+            heads.append(int(np.flatnonzero(u.view(np.uint64))[0]) // 2)
+        assert min(heads) > 0
 
 
 GOLDEN_INI = """

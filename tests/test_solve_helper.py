@@ -170,7 +170,9 @@ class TestWindow:
         """The transparent right end's closure makes -0 parts from +0 data,
         so the window reaches it from the first step on; every step after
         the first, whole one, is windowed, and the window grows with the
-        field."""
+        field.  The window lies right of the middle row m and its overlap,
+        so it is cut at its own middle; with no snapshot to write, the
+        helper takes half of every windowed step."""
         cfg = _preset("rn-wavepacket", "omega-2.3")
         zero = np.zeros(cfg.grid.n, dtype=complex)
         setup = driver.prepare(cfg)
@@ -179,8 +181,10 @@ class TestWindow:
         assert sorted({(j // 2) % cfg.grid.n for j in live}) == [cfg.grid.n - 2, cfg.grid.n - 1]
         stepper, windows = _against_lone(cfg, 500)
         (first, _), (lo, hi) = windows[0], windows[-1]
-        assert cfg.grid.n // 2 < lo < first and hi == cfg.grid.n
+        assert cfg.grid.n // 2 + stepper._k < lo < first and hi == cfg.grid.n
+        assert stepper._cut.tolist() == [(lo + hi) // 2, hi]
         assert (stepper.windowed_steps, stepper.retaken_steps) == (499, 0)
+        assert stepper.split_steps == 499
 
     @pytest.mark.parametrize("x0", [250.0, -250.0])
     def test_a_reference_run(self, x0):
@@ -208,7 +212,11 @@ class TestWindow:
         """A packet moving right on a Dirichlet grid (n = 6001), whose window
         starts short of the right end: the field comes within the guard rows
         of the window's right edge, which widens by a chunk before the field
-        reaches it, so no step is taken again."""
+        reaches it, so no step is taken again.  The window widens after the
+        helper is forked, and the cut, its middle, moves with it: the
+        helper, which saw the stepper as it was at the fork, takes the new
+        cut from the memory they share (a half step at the old cut would
+        fail the seam check and be taken again)."""
         g = es.Grid(x_min=-30.0, x_max=30.0, h=0.01, dt=0.01)
         u = np.exp(-((g.x + 10.0) ** 2))
         state = es.FieldState(u.astype(complex), (2.0 * (g.x + 10.0) * u).astype(complex))  # v = -u'
@@ -217,6 +225,7 @@ class TestWindow:
         (lo, first), (_, last) = windows[0], windows[-1]
         assert lo == 0 and first < last < g.n
         assert (stepper.windowed_steps, stepper.retaken_steps) == (599, 0)
+        assert stepper.split_steps == 599
 
     def test_a_field_at_the_edge_is_stepped_again_whole(self, monkeypatch):
         """With chunks of 8 rows and one guard row, the field reaches the

@@ -461,6 +461,10 @@ class TestSplitSolve:
         # and K = 698 <= n/4: the split stands
         lu = solver._TridiagLU(*_tridiag(n, diag=2.0, off=-0.9 * 2.0 / 1.81))
         assert solver._overlap(lu) == 698
+        # rho = 0.95 gives K = 1433 <= n/4, but a window of _SPLIT_MIN_N
+        # rows cut at its middle would reach within _CHUNK rows of an end
+        lu = solver._TridiagLU(*_tridiag(n, diag=2.0, off=-0.95 * 2.0 / 1.9025))
+        assert solver._overlap(lu) is None
 
     def test_whole_solve_when_a_row_swap_falls_in_the_overlap(self):
         # Row r gets a zero diagonal and a large entry below it, so zgttrf
