@@ -27,8 +27,8 @@ it to one forked helper process.  The helper formats and writes each
 snapshot file from a copy of the field while the run keeps stepping, and
 between files it solves half of each step's tridiagonal system where that
 pays, spinning on its CPU but yielding it to any other process that wants
-it; a step solves whole while the helper writes.  The files and their bytes
-are the same with or without the helper.
+it; while the helper writes, the run solves a step's window of rows alone.
+The files and their bytes are the same with or without the helper.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 1 unexpected error.

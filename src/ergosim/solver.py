@@ -75,10 +75,11 @@ the whole matrix's factors at offset c-K, and writes the rows [c, hi).
 Each reads the K+1 values of u (K of v) past the cut that it needs straight
 from pair p.  So a run factors its matrix once, before the fork, and the
 helper factors nothing.  The helper sees the stepper as it was at the fork,
-so the stepper writes c and hi into the shared memory, and the helper
-rebuilds its half's arguments when they change.  A step from a state that
-is not one of the pairs (the first one, a caller's) is taken whole, into a
-pair.
+so the window (lo, hi) is all that the stepper shares about a split: it
+writes the window into the shared memory when it grows, and each process
+builds the window's plan, both halves of a step from either pair, the
+first time that it steps that window.  A step from a state that is not
+one of the pairs (the first one, a caller's) is taken whole, into a pair.
 
 A step from a pair solves only the rows of a window [lo, hi), the rows that
 the field occupies; every other row of both pairs holds +0.  The field
@@ -104,9 +105,10 @@ the window grows over its output; so is a split step whose halves differ
 (below).  A window is split at its middle, c = (lo + hi) // 2 (c = m =
 n // 2 for all rows), where it has at least _SPLIT_MIN_N rows, and so more
 than K on each side of c, and the helper is free; otherwise this process
-steps it alone, which leaves the helper free to write snapshots.  Where
-zgttrf swapped a row that a window's edge could cut, every step takes all
-rows.
+steps it alone, which leaves the helper free to write snapshots.  The window
+of all rows is a window like any other.  Where zgttrf swapped a row in
+[_CHUNK - 2, n - _CHUNK), which a window's edge or a split's overlap could
+cut, the stepper neither splits nor windows.
 
 Cutting a system at row c+K changes the back substitution's value there by
 |du/d| |x_{c+K}|, and each row above shrinks the change by |du/d| again;
@@ -121,8 +123,9 @@ rho^K <= 2^-106, far below half an ulp.  On the presets' and the
 benchmark's dt = h grids, rho is that of the potential-free matrix,
 3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
 or K > 1244, which keeps every overlap out of the first and last _CHUNK
-rows; when zgttrf swapped a row within K of m; and below n = 3000, where it
-measured no faster.  The bound is on size, not on bits: it is relative to
+rows; when zgttrf swapped a row in [_CHUNK - 2, n - _CHUNK) (on the presets
+it swaps only row n - 2, the transparent right end's); and below n = 3000,
+where it measured no faster.  The bound is on size, not on bits: it is relative to
 |x| near the overlap's ends, and a steep front inside the overlap
 (|x_{c+K}| / |x_c| above 2^53, say) carries the cut's error into the last
 bit at c.  Measured on rn-wavepacket to T = 1000, the halves differed at 1
@@ -137,6 +140,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import mmap
 import os
@@ -195,8 +199,9 @@ class Grid:
                 "the grid would not end at x_max"
             )
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
+        # not a field: config._write echoes the fields into config.ini
         return int(round((self.x_max - self.x_min) / self.h)) + 1
 
     @property
@@ -366,16 +371,16 @@ _MESSAGE_BYTES = 1 << 20
 
 def _overlap(lu: _TridiagLU) -> int | None:
     """The overlap K of a split, from ``lu``'s factors, or None where the
-    whole solve is kept: K > n/4 or K > _SPLIT_MIN_N/2 - _CHUNK, or a row
-    swap within K of m = n // 2, the cut of a window of all rows.
+    whole solve is kept, with no split and no window: K > n/4 or
+    K > _SPLIT_MIN_N/2 - _CHUNK, or a row swap in [_CHUNK - 2, n - _CHUNK),
+    where a window's edge or a split's overlap could cut it.
 
     rho bounds the per-row decay of an error in the forward (|dl|) and back
     (|du/d|) substitutions over the rows [_CHUNK, n - _CHUNK), which hold
     every split's overlap: a window that splits has at least _SPLIT_MIN_N/2
     rows on each side of its cut.
     """
-    dl, d, du, _, ipiv = lu._fact
-    n, m = lu.n, lu.n // 2
+    (dl, d, du, _, ipiv), n = lu._fact, lu.n
     rho, top = 0.0, n - _CHUNK
     # 4096 rows at a time: temporaries of all n rows raised the peak RSS of
     # the benchmark's black-hole runs (n = 20001, 25001) by 0.15-0.28 MB
@@ -385,7 +390,7 @@ def _overlap(lu: _TridiagLU) -> int | None:
     if rho >= 1.0:
         return None
     k = math.ceil(_OVERLAP_BITS * math.log(2.0) / -math.log(rho))
-    if k > min(n // 4, _SPLIT_MIN_N // 2 - _CHUNK) or _swapped(ipiv, m - k, m + k):
+    if k > min(n // 4, _SPLIT_MIN_N // 2 - _CHUNK) or _swapped(ipiv, _CHUNK - 2, top):
         return None
     return k
 
@@ -686,25 +691,28 @@ class Stepper:
             return
         m = n // 2
         # Shared with the helper: the right system's values, at most n-m+K
-        # of them (hi-c+K), the pairs, then the cut c and the window's end
-        # hi as two 64-bit words.  The helper's step reaches this stepper
-        # through a weak reference: a closure over self would hold the two
-        # in a cycle, which only the garbage collector frees.
+        # of them (hi-c+K), the pairs, then the window (lo, hi) as two
+        # 64-bit words.  The helper's step reaches this stepper through a
+        # weak reference: a closure over self would hold the two in a cycle,
+        # which only the garbage collector frees.
         ref = weakref.ref(self)
-        self._helper = _Helper(n, 5 * n - m + k + 1, lambda p: ref()._right_half(p))
+
+        def right(p: int) -> None:  # the helper's half of a split step from pair p
+            s = ref()
+            s._advance(*s._plan(p, tuple(s._shared_window.tolist()))[1])
+
+        self._helper = _Helper(n, 5 * n - m + k + 1, right)
         shared = self._helper.shared
         self._right = shared[: n - m + k]
         block = shared[n - m + k : -1].reshape(2, 2, n)
-        self._cut = shared[-1:].view(np.int64)
+        self._shared_window = shared[-1:].view(np.int64)
         self._pairs = tuple((block[p, 0], block[p, 1]) for p in (0, 1))
         # each pair's u and v as 64-bit words, two a row: a word is 0 where +0
         self._bits = block.view(np.uint64)
         self._left = scratch[m + k + 2 :]
-        self._plans = None  # per pair stepped from, for the window as it stands
-        self._halves = None  # in the helper: (c, hi) and its half step from each pair
-        # the rows a pair step solves: none until a whole step writes a pair,
-        # and all where a window's edge could cut a row swap
-        self._window = (0, n) if _swapped(lu._fact[4], _CHUNK - 2, n - _CHUNK) else (n, 0)
+        # the rows a pair step solves, none until a whole step writes a pair,
+        # and the plans of the window they were last built for
+        self._window, self._plans = (n, 0), (None, None)
 
     def _band(self, lo: int, hi: int, keep: tuple[int, int], src, dst, r=None) -> tuple:
         """What :meth:`_advance` works on to step the rows [lo, hi) of the
@@ -804,8 +812,7 @@ class Stepper:
             # not a pair: stepped into one that it does not overlap
             q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
         if q is None:
-            n = self._work.size  # Grid.n computes it on every read
-            un, vn = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+            un, vn = np.empty(self.grid.n, dtype=complex), np.empty(self.grid.n, dtype=complex)
         else:
             un, vn = pairs[q]
         self._advance(self._whole_band(u, v, un, vn), self._lu.solve)
@@ -817,71 +824,64 @@ class Stepper:
         """Step pair p into pair 1 - p over the window (module docstring):
         split where :meth:`_plan` allows it and the helper is free, else
         alone, and taken again whole where a check fails."""
-        q, (lo, hi), n = 1 - p, self._window, self._work.size
+        q, (lo, hi) = 1 - p, self._window
         if lo >= hi:  # no whole step wrote a row that is not +0: pair q is the step
             self._windowed += 1
             return
-        if self._plans is None:
-            fact = _offset(self._lu._fact, lo)
-            self._plans = [self._plan(s, fact) for s in (0, 1)]
-            self._cut[:] = (lo + hi) // 2, hi  # the helper's half (_right_half)
-        split, seam, alone = self._plans[p]
-        halves = split is not None and self._helper.go(p)
+        left, _, seam, alone = self._plan(p, self._window)
+        halves = left is not None and self._helper.go(p)
         if halves:
-            self._advance(*split)
+            self._advance(*left)
             self._helper.join()
             stood = seam[0].tobytes() == seam[1].tobytes()
         else:
             self._advance(*alone)
             stood = True
-        if (lo, hi) != (0, n):
-            stood = stood and self._edges(q)
-            self._windowed += stood
+        stood = stood and self._edges(q)
+        self._windowed += stood and hi - lo < self.grid.n
         self._split += halves and stood
         if not stood:
             self._retaken += 1
             self._advance(self._whole_band(*self._pairs[p], *self._pairs[q]), self._lu.solve)
             self._cover(q)
 
-    def _plan(self, p: int, fact: tuple) -> tuple:
-        """How a step from pair p solves the window's rows [lo, hi), with the
-        whole matrix's factors ``fact`` at offset lo: (split, seam, alone),
-        split and alone :meth:`_advance`'s arguments, split None where it
-        may not split.  Alone, this process solves every row in place in
-        pair 1 - p's u.  Split at c = (lo + hi) // 2, it solves the rows
-        [lo, c+K) and the helper the rows [c-K, hi), which they may where
-        the window has _SPLIT_MIN_N rows: then it has more than K (at most
-        _SPLIT_MIN_N/2 - _CHUNK, :func:`_overlap`) on each side of c.  seam
-        holds the rows c-1 .. c+1 of both halves."""
-        (lo, hi), k = self._window, self._k
-        c, src, dst = (lo + hi) // 2, self._pairs[p], self._pairs[1 - p]
-        solve = self._lu.solve if (lo, hi) == (0, self._work.size) else _LAPACK.solver(fact, hi - lo)
-        alone = self._band(lo, hi, (lo, hi), src, dst), solve
-        if hi - lo < _SPLIT_MIN_N:
-            return None, None, alone
-        left = self._left[: c + k - lo]
-        split = self._band(lo, c + k, (lo, c), src, dst, left), _LAPACK.solver(fact, c + k - lo)
-        return split, (left[c - 1 - lo : c + 2 - lo], self._right[k - 1 : k + 2]), alone
-
-    def _right_half(self, p: int) -> None:
-        """The helper's half of a split step from pair p: the rows [c-K, hi)
-        of the system, kept [c, hi), solved with the whole matrix's factors
-        at offset c-K, for the (c, hi) that the stepper last wrote.  Runs in
-        the helper, which keeps the bands of one (c, hi) only."""
-        cut = tuple(self._cut.tolist())
-        if self._halves is None or self._halves[0] != cut:
-            (c, hi), k = cut, self._k
-            solve = _LAPACK.solver(_offset(self._lu._fact, c - k), hi - c + k)
-            right = self._right[: hi - c + k]
-            self._halves = cut, [(self._band(c - k, hi, (c, hi), self._pairs[s], self._pairs[1 - s],
-                                             right), solve) for s in (0, 1)]
-        self._advance(*self._halves[1][p])
+    def _plan(self, p: int, window: tuple[int, int]) -> tuple:
+        """How a step from pair p solves the rows [lo, hi) of ``window``:
+        (left, right, seam, alone), left, right and alone :meth:`_advance`'s
+        arguments, left and right None where it may not split.  Alone, this
+        process solves every row in place in pair 1 - p's u, with the whole
+        matrix's factors at offset lo.  Split at c = (lo + hi) // 2, this
+        process solves the rows [lo, c+K) (left), with the factors at offset
+        lo, and the helper the rows [c-K, hi) (right), at offset c-K, which
+        they may where the window has _SPLIT_MIN_N rows: then it has more
+        than K (at most _SPLIT_MIN_N/2 - _CHUNK, :func:`_overlap`) on each
+        side of c.  seam holds the rows c-1 .. c+1 of both halves.  Built
+        for both pairs at once, in whichever process asks, and kept for one
+        window."""
+        if self._plans[0] != window:
+            (lo, hi), k, pairs = window, self._k, self._pairs
+            c, fact = (lo + hi) // 2, _offset(self._lu._fact, lo)
+            alone, split = _LAPACK.solver(fact, hi - lo), hi - lo >= _SPLIT_MIN_N
+            if split:
+                left, right = self._left[: c + k - lo], self._right[: hi - c + k]
+                solves = (_LAPACK.solver(fact, c + k - lo),
+                          _LAPACK.solver(_offset(self._lu._fact, c - k), hi - c + k))
+                seam = left[c - 1 - lo : c + 2 - lo], right[k - 1 : k + 2]
+            plans = []
+            for src, dst in (pairs, pairs[::-1]):
+                halves = None, None, None
+                if split:
+                    halves = ((self._band(lo, c + k, (lo, c), src, dst, left), solves[0]),
+                              (self._band(c - k, hi, (c, hi), src, dst, right), solves[1]), seam)
+                plans.append((*halves, (self._band(lo, hi, (lo, hi), src, dst), alone)))
+            self._plans = window, plans
+        return self._plans[1][p]
 
     def _edges(self, q: int) -> bool:
         """Whether pair q's rows at the window's edges came out +0, as those
         of a windowed step must to be the whole step's; widens the window
         where a value that is not +0 lies within _GUARD rows of an edge."""
-        (lo, hi), bits, n = self._window, self._bits[q], self._work.size
+        (lo, hi), bits, n = self._window, self._bits[q], self.grid.n
         stood, lo_, hi_ = True, lo, hi
         if lo and bits[:, 2 * lo : 2 * (lo + _GUARD)].any():
             stood, lo_ = not bits[:, 2 * lo : 2 * lo + 2].any(), lo - _CHUNK
@@ -893,8 +893,6 @@ class Stepper:
     def _cover(self, q: int) -> None:
         """Widen the window over the rows where pair q is not +0, and a chunk
         to spare on each side."""
-        if self._window == (0, self._work.size):
-            return
         live = self._bits[q].any(axis=0)  # of u or v; words 2j and 2j + 1 are row j
         if live.any():
             first, last = int(live.argmax()) // 2, (live.size - 1 - int(live[::-1].argmax())) // 2
@@ -902,12 +900,13 @@ class Stepper:
 
     def _grow(self, lo: int, hi: int) -> None:
         """Widen the window over the rows [lo, hi), in whole chunks, and to a
-        boundary that it comes within a chunk of."""
-        n, c = self._work.size, _CHUNK
+        boundary that it comes within a chunk of; the helper reads it from
+        the memory they share."""
+        n, c = self.grid.n, _CHUNK
         lo, hi = min(self._window[0], lo // c * c), max(self._window[1], -(-hi // c) * c)
         window = (0 if lo < c else lo, n if hi > n - c else hi)
         if window != self._window:
-            self._window, self._plans = window, None
+            self._window = self._shared_window[:] = window
 
     def call(self, fn, u: np.ndarray) -> None:
         """Run ``fn(u)``: in the helper process, on a copy of ``u``, while

@@ -91,6 +91,26 @@ def test_reference_mode_restricts_to_window():
     assert np.abs(res.final_state.u - direct.final_state.u).max() < 2e-2
 
 
+def test_transparent_closure_on_the_black_hole_run():
+    """Criterion 1's run (rn-wavepacket omega = 2.3, T = 1000, probe at
+    r* = 300) on the coarse grid h = dt = 0.16, transparent against its
+    reference run: the local closure moves the gain by -1.25e-3 and leaves
+    1.64e-3 more energy at T (E0 = 1.6045), both pinned to 3 digits.  Both
+    shrink about 3.5 times per halving of h (ROADMAP), to -1.2e-4 and
+    4.4e-4 on the preset grid; the closure is exact only for P = 0."""
+    from ergosim.presets import get_preset
+
+    (cfg,) = (c for c in get_preset("rn-wavepacket").configs if c.label == "omega-2.3")
+    cfg = replace(cfg, grid=replace(cfg.grid, h=0.16, dt=0.16))
+    tra, ref = (run(replace(cfg, bc=bc)) for bc in (es.BoundaryMode.TRANSPARENT,
+                                                    es.BoundaryMode.REFERENCE))
+    gain = tra.summary(300.0).value - ref.summary(300.0).value
+    excess = tra.energies[-1].total - ref.energies[-1].total
+    assert tra.energies[0].total == pytest.approx(ref.energies[0].total, rel=1e-15)
+    assert -1.255e-3 < gain < -1.235e-3
+    assert 1.63e-3 < excess < 1.645e-3
+
+
 def test_probe_lookup_snaps_to_node():
     cfg = toy_config()
     res = run(cfg)

@@ -102,9 +102,11 @@ class TestSameResults:
 
 
     def test_a_run_mixes_split_and_whole_steps(self, tmp_path, monkeypatch, made):
-        """Where every row is live, so that the window is all rows, steps
-        taken while the helper writes a snapshot solve whole, the others
-        split, and the run is the run without the helper."""
+        """Where every row is live, so that the window is all rows, the steps
+        taken while the helper writes a snapshot are solved by this process
+        alone over that window, the others split; only the first step, from
+        a state that is not one of the stepper's pairs, solves whole, and
+        the run is the run without the helper."""
         case = replace(_preset("rn-highenergy", "omega-100"), t_final=2.0, snapshot_stride=40)
         results, real_run = {}, cli.run
         whole, solve = [], solver._TridiagLU.solve
@@ -119,9 +121,9 @@ class TestSameResults:
         lone, split = made
         assert split._helper is not None and split._k == 42
         assert split._window == (0, case.grid.n) and split.windowed_steps == 0
-        whole_steps = whole.count(split._lu)
         assert whole.count(lone._lu) == case.n_steps
-        assert 0 < whole_steps < case.n_steps  # and the other steps split
+        assert whole.count(split._lu) == 1 and split.retaken_steps == 0
+        assert 0 < split.split_steps < case.n_steps - 1  # and the other steps alone
         without, with_helper = (results[h].final_state for h in (False, True))
         assert np.array_equal(without.u, with_helper.u)
         assert np.array_equal(without.v, with_helper.v)
@@ -182,7 +184,7 @@ class TestWindow:
         stepper, windows = _against_lone(cfg, 500)
         (first, _), (lo, hi) = windows[0], windows[-1]
         assert cfg.grid.n // 2 + stepper._k < lo < first and hi == cfg.grid.n
-        assert stepper._cut.tolist() == [(lo + hi) // 2, hi]
+        assert stepper._shared_window.tolist() == [lo, hi]  # the window the helper reads
         assert (stepper.windowed_steps, stepper.retaken_steps) == (499, 0)
         assert stepper.split_steps == 499
 
@@ -214,8 +216,8 @@ class TestWindow:
         of the window's right edge, which widens by a chunk before the field
         reaches it, so no step is taken again.  The window widens after the
         helper is forked, and the cut, its middle, moves with it: the
-        helper, which saw the stepper as it was at the fork, takes the new
-        cut from the memory they share (a half step at the old cut would
+        helper, which saw the stepper as it was at the fork, reads the new
+        window from the memory they share (a half step at the old cut would
         fail the seam check and be taken again)."""
         g = es.Grid(x_min=-30.0, x_max=30.0, h=0.01, dt=0.01)
         u = np.exp(-((g.x + 10.0) ** 2))

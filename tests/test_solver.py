@@ -466,12 +466,15 @@ class TestSplitSolve:
         lu = solver._TridiagLU(*_tridiag(n, diag=2.0, off=-0.95 * 2.0 / 1.9025))
         assert solver._overlap(lu) is None
 
-    def test_whole_solve_when_a_row_swap_falls_in_the_overlap(self):
+    def test_whole_solve_when_zgttrf_swaps_an_interior_row(self):
         # Row r gets a zero diagonal and a large entry below it, so zgttrf
-        # swaps rows r and r+1; the factors keep rho = 0.375, so K = 75
-        # wherever r lies, and only the swap's place decides.
-        n = 2 * solver._SPLIT_MIN_N
-        m = n // 2
+        # swaps rows r and r+1, and the factors near it have rho = 0.375,
+        # K = 75, where rho is taken, else K = 42.  A swap that a window's
+        # edge or a split's overlap could cut, in the rows
+        # [_CHUNK - 2, n - _CHUNK), keeps the whole solve and no window; one
+        # nearer an end, as the transparent right end's at row n - 2, keeps
+        # the split.
+        n, chunk = 2 * solver._SPLIT_MIN_N, solver._CHUNK
 
         def swapped_at(r):
             lower, diag, upper = _tridiag(n)
@@ -480,10 +483,10 @@ class TestSplitSolve:
             assert list(np.flatnonzero(lu._fact[4] != np.arange(1, n + 1))) == [r]
             return solver._overlap(lu)
 
-        for r in (m - 75, m, m + 74):  # the overlap's first row, the cut, its last row
+        for r in (chunk - 2, chunk, n // 2, n - chunk - 1):
             assert swapped_at(r) is None
-        for r in (m - 76, m + 75, m + 200):
-            assert swapped_at(r) == 75
+        for r in (chunk - 3, n - chunk, n - 2):
+            assert swapped_at(r) == 42
 
     @pytest.mark.parametrize("binding", ["ctypes", "scipy"])
     def test_split_solve_is_the_whole_solve(self, binding, tmp_path, monkeypatch):
