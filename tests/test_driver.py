@@ -15,6 +15,7 @@ import ergosim as es
 from ergosim import initial_data
 from ergosim.diagnostics import energy_positive_zone
 from ergosim.driver import run
+from ergosim.presets import get_preset
 from ergosim.solver import FieldState, Stepper
 
 
@@ -98,8 +99,6 @@ def test_transparent_closure_on_the_black_hole_run():
     1.64e-3 more energy at T (E0 = 1.6045), both pinned to 3 digits.  Both
     shrink about 3.5 times per halving of h (ROADMAP), to -1.2e-4 and
     4.4e-4 on the preset grid; the closure is exact only for P = 0."""
-    from ergosim.presets import get_preset
-
     (cfg,) = (c for c in get_preset("rn-wavepacket").configs if c.label == "omega-2.3")
     cfg = replace(cfg, grid=replace(cfg.grid, h=0.16, dt=0.16))
     tra, ref = (run(replace(cfg, bc=bc)) for bc in (es.BoundaryMode.TRANSPARENT,
