@@ -23,12 +23,11 @@ Sweep summaries additionally record wall time, which is not reproducible.
 
 When a CPU is spare (at least two per run in flight, and the platform can
 fork; ``driver.run`` decides, told how many runs are in flight), a run gives
-it to one forked helper process.  The helper formats and writes each
-snapshot file from a copy of the field while the run keeps stepping, and
-between files it solves half of each step's tridiagonal system where that
-pays, spinning on its CPU but yielding it to any other process that wants
-it; while the helper writes, the run solves a step's window of rows alone.
-The files and their bytes are the same with or without the helper.
+it to one helper process, forked at its first request and reaped when the
+run ends.  The helper writes each snapshot file from a copy of the field
+while the run keeps stepping, and between files it solves half of each step
+where that pays (the docstring of ``ergosim/solver.py`` says how).  The
+files and their bytes are the same on any number of CPUs.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure,
 1 unexpected error.
@@ -266,11 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output-dir", type=Path, default=Path("ergosim-out"))
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for the runs of sweep/repro (default 1); a run "
-             "adds one helper process, which writes its snapshot files and "
-             "spins on its CPU (yielding it to other processes) to solve half "
-             "of each step where that pays, when each run in flight has a CPU "
-             "spare; helpers are not counted",
+        help="worker processes for the runs of sweep/repro (default 1); each "
+             "run in flight that has a CPU spare adds one helper process, not "
+             "counted here (see ergosim/solver.py); outputs are the same on any "
+             "number of CPUs",
     )
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)

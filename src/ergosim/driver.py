@@ -170,19 +170,21 @@ def run(
 
     When a CPU is spare (:func:`_spare_cpu`: two usable CPUs for each of the
     ``runs_in_flight`` runs the caller runs at once, this one included), the
-    stepper gets a helper process for it, which runs the functions below and,
-    where the stepper splits its steps, the half of each step's rows that the
-    stepper sends it; it is forked at the first of these requests, so a run
-    that sends it none forks nothing.  ``final_state`` is a copy; every
-    sampler reads or copies the state it is given at once, since a stepper
-    with a helper overwrites its states two steps on.
+    stepper gets a helper process for it, which runs the functions below
+    and, where that pays, half of each step (the docstring of
+    ``ergosim/solver.py``); it is forked at the first of these requests, so
+    a run that sends it none forks nothing.  The results are the same on any
+    number of CPUs.
+    ``final_state`` is a copy; every sampler reads or copies the state it is
+    given at once, since the stepper may return shared arrays that it
+    overwrites two steps on.
     ``snapshot_callback`` is called with each window snapshot's state.  It
     may return None, or a function of u, such as a file's write, which this
     runs on the snapshot's u through :meth:`~ergosim.solver.Stepper.call`:
     in the helper process if there is one, so it must then pickle, else at
     once.  The functions have all finished when this returns, and a failed
-    one's exception is raised here; the helper is stopped before this
-    returns or raises.
+    one's exception is raised here; the helper is stopped and reaped before
+    this returns or raises.
     """
     _reuse_freed_arrays()
     setup = prepare(cfg)

@@ -44,96 +44,99 @@ one-way relation sets.
 
 Stability requires the CFL ratio dt/h <= 1, enforced at grid construction.
 
-One kernel takes every step, over a band of rows: the right-hand side's
-rows, built in an array that the LAPACK solve overwrites with their U^{n+1},
-then V^{n+1} on the rows the band keeps, formed in place in its output, and
-every other intermediate in scratch buffers the :class:`Stepper` allocates
-once.  A whole step is the band of all rows.  The operations and their order
-are those of the expressions above, so results are bit-identical to
-evaluating them with temporaries.  Without a helper that splits, a step
-allocates only its two outputs, which alias neither its input nor the
-scratch buffers, so callers may keep old states; the scratch makes a
-``Stepper`` non-reentrant (one step at a time per instance).
+One kernel takes every step, over a band of rows (a :class:`_Band`): the
+right-hand side's rows, built in an array that the LAPACK solve overwrites
+with their U^{n+1}, then V^{n+1} on the rows the band keeps, formed in place
+in its output, and every other intermediate in scratch buffers the
+:class:`Stepper` allocates once.  A whole step is the band of all rows.  The
+operations and their order are those of the expressions above, so results
+are bit-identical to evaluating them with temporaries.  A step's outputs
+alias neither its input nor the scratch; the scratch makes a ``Stepper``
+non-reentrant (one step at a time per instance).
 
 LAPACK's zgttrf/zgttrs come from the OpenBLAS that numpy's wheels bundle,
 called through ctypes, so a run does not import scipy; with a numpy built
 without it (conda, system packages) they come from scipy.linalg.lapack.
 
-With ``second_cpu``, a helper process, forked at the first request it is
-sent, runs on a second CPU.  It knows nothing of the scheme: it runs the
-calls handed to it (a snapshot file's write, say) on a copy of u, and the
-half steps that its :class:`Stepper` sends it.  The stepper alone decides
-how a step is split, the partition method of Wang 1981 (ACM TOMS 7): the
-solve of rows [lo, hi) becomes two overlapping systems, rows [lo, c+K) and
-[c-K, hi) of the matrix, cut at c, each solved alone.  u and v then live in
-two ping-pong pairs in memory shared with the helper; a step reads pair p
-and writes pair 1 - p.  The stepper builds the right-hand side's rows
-[lo, c+K) in a scratch array of its own, solves them with the whole
-matrix's factors at offset lo (below) and writes the rows [lo, c) of u and
-v; the helper builds the rows [c-K, hi) in shared memory, solves them with
-the whole matrix's factors at offset c-K, and writes the rows [c, hi).
-Each reads the K+1 values of u (K of v) past the cut that it needs straight
-from pair p.  So a run factors its matrix once, before the fork, and the
-helper factors nothing.  The helper sees the stepper as it was at the fork,
-so the window (lo, hi) is all that the stepper shares about a split: it
-writes the window into the shared memory when it grows, and each process
-builds the window's plan, both halves of a step from either pair, the
-first time that it steps that window.  A step from a state that is not
-one of the pairs (the first one, a caller's) is taken whole, into a pair.
+The helper.  With ``second_cpu``, a helper process, forked at the first
+request it is sent, runs on a second CPU until the stepper is closed.  It
+knows nothing of the scheme: it runs the calls handed to it (a snapshot
+file's write, say) on a copy of u, and the half steps that its stepper sends
+it.  Where the stepper windows (the last paragraph says where), u and v live
+in two ping-pong pairs in memory shared with the helper; a step reads pair p
+and writes pair 1 - p.  A step from a state that is not one of the pairs
+(the first one, a caller's) is taken whole, into a pair that it does not
+overlap, or into fresh arrays if it overlaps both.
 
-A step from a pair solves only the rows of a window [lo, hi), the rows that
-the field occupies; every other row of both pairs holds +0.  The field
-spreads by a factor |dl| or |du/d| per row per step (below), so some
-hundreds of rows past its support its values underflow to an exact +0, and
-an incoming packet's first steps leave most of the grid at +0.  The window's
-rows are solved in place in pair 1 - p's u with the whole matrix's factors
-at offset lo (pivots ipiv - lo), no factorization of their own.  That is the
-whole step to the bit when (1) the input is +0 outside the window and in its
-first and last _GUARD rows, and (2) the output's rows lo and hi - 1 come out
-+0 in u and in v: then the whole solve's forward substitution meets only +0
-below lo, its back substitution only +0 from hi on, and every row outside
-the window comes out as from an all-+0 state.  The window is monotone and
-grows by whole chunks of _CHUNK rows: over the rows where a whole step into
-a pair (the first step, a caller's state) outputs anything but +0, a chunk
-to spare on each side; by a chunk where a windowed step's output is not +0
+The window.  A step from a pair solves only the rows of a window [lo, hi),
+the rows that the field occupies; every other row of both pairs holds +0.
+The field spreads by a factor |dl| or |du/d| per row per step (below), so
+some hundreds of rows past its support its values underflow to an exact +0:
+an incoming packet's first steps leave most of the grid at +0, and on
+rn-wavepacket 37 % of the rows are live on average.  The window's rows are
+solved in place in pair 1 - p's u with the whole matrix's factors at offset
+lo (pivots ipiv - lo).  That is the whole step to the bit when (1) the input
+is +0 outside the window and in its first and last _GUARD rows, and (2) the
+output's rows lo and hi - 1 come out +0 in u and in v: then the whole
+solve's forward substitution meets only +0 below lo, its back substitution
+only +0 from hi on, and every row outside the window comes out as from an
+all-+0 state.  The window only grows, by whole chunks of _CHUNK rows: over
+the rows where a whole step into a pair outputs anything but +0, a chunk to
+spare on each side; by a chunk where a windowed step's output is not +0
 within _GUARD rows of an edge; and to a boundary that it comes within a
-chunk of.  Rows where a step from all-+0 data outputs anything but +0 (the
-transparent right end's closure leaves -0 parts in its last two rows) are
-in it from the first step on: unless the field is near them, that step
-outputs those parts there.  A step that fails (2) is taken again whole, and
-the window grows over its output; so is a split step whose halves differ
-(below).  A window is split at its middle, c = (lo + hi) // 2 (c = m =
-n // 2 for all rows), where it has at least _SPLIT_MIN_N rows, and so more
-than K on each side of c, and the helper is free; otherwise this process
-steps it alone, which leaves the helper free to write snapshots.  The window
-of all rows is a window like any other.  Where zgttrf swapped a row in
-[_CHUNK - 2, n - _CHUNK), which a window's edge or a split's overlap could
-cut, the stepper neither splits nor windows.
+chunk of.  A step from all-+0 data outputs -0 parts in the transparent right
+end's last two rows, so a transparent grid's window holds that end from the
+first step on.  A step that fails (2) is taken again whole, and the
+window grows over its output.  A window of fewer than _SPLIT_MIN_N rows, or
+one stepped while the helper runs a call, is stepped by this process alone.
 
-Cutting a system at row c+K changes the back substitution's value there by
-|du/d| |x_{c+K}|, and each row above shrinks the change by |du/d| again;
-starting the right half's forward substitution at row c-K, with the whole
-matrix's factors from that row on, drops the carry from the rows above it,
-a change that each row below shrinks by |dl|.  So with rho the largest of
-|dl| and |du/d| over the rows that a cut's overlap can reach, the halves
-differ from the whole solve at row c by at most about rho^K of the
-solution's size near c+K or c-K (the decay of the inverse's entries, Demko,
-Moss and Smith 1984, Math. Comp. 43).  K = ceil(106 ln 2 / -ln rho) makes
-rho^K <= 2^-106, far below half an ulp.  On the presets' and the
-benchmark's dt = h grids, rho is that of the potential-free matrix,
-3 - 2 sqrt(2) = 0.1716, and K = 42.  The split is kept off when K > n/4,
-or K > 1244, which keeps every overlap out of the first and last _CHUNK
-rows; when zgttrf swapped a row in [_CHUNK - 2, n - _CHUNK) (on the presets
-it swaps only row n - 2, the transparent right end's); and below n = 3000,
-where it measured no faster.  The bound is on size, not on bits: it is relative to
-|x| near the overlap's ends, and a steep front inside the overlap
-(|x_{c+K}| / |x_c| above 2^53, say) carries the cut's error into the last
-bit at c.  Measured on rn-wavepacket to T = 1000, the halves differed at 1
-of 12500 steps at h = 0.08 and at 311 of 6250 at h = 0.16 while every cut
-was at m, and at none of either since windows are cut at their middle.  So
-every split solve checks the bits it can: the rows c-1 .. c+1, which both
-halves solve, must agree exactly, or the step is taken again whole, from
-the pair it read, and counted in ``Stepper.retaken_steps``.
+The split.  A window of at least _SPLIT_MIN_N rows (all rows included),
+stepped while the helper is free, is split by the partition method of Wang
+1981 (ACM TOMS 7): the solve of its rows [lo, hi) becomes two overlapping
+systems, rows [lo, c+K) and [c-K, hi), cut at its middle c = (lo + hi) // 2,
+each solved alone.  The stepper builds the right-hand side's rows [lo, c+K)
+in a scratch array of its own, solves them with the whole matrix's factors
+at offset lo and writes the rows [lo, c) of u and v; the helper builds the
+rows [c-K, hi) in shared memory, solves them with the factors at offset c-K
+and writes the rows [c, hi).  Each reads the K+1 values of u (K of v) past
+the cut straight from pair p.  So a run factors its matrix once, before the
+fork, and the helper factors nothing.  The helper sees the stepper as it was
+at the fork, so the window is all that the stepper shares about a split: it
+writes (lo, hi) into the shared memory when the window grows, and each
+process builds the window's plan, both halves of a step from either pair,
+the first time that it steps that window.
+
+K and the seam.  Cutting a system at row c+K changes the back
+substitution's value there by |du/d| |x_{c+K}|, and each row above shrinks
+the change by |du/d| again; starting the right half's forward substitution
+at row c-K drops the carry from the rows above it, a change that each row
+below shrinks by |dl|.  So with rho the largest of |dl| and |du/d| over the
+rows [_CHUNK, n - _CHUNK), which hold every overlap (a window that splits
+has _SPLIT_MIN_N/2 rows on each side of c, and K <= _SPLIT_MIN_N/2 - _CHUNK),
+the halves differ from the whole solve at row c by at most about
+rho^K of the solution's size near c+K or c-K (the decay of the inverse's
+entries, Demko, Moss and Smith 1984, Math. Comp. 43).  K = ceil(106 ln 2 /
+-ln rho) makes rho^K <= 2^-106, far below half an ulp.  On the presets' and
+the benchmark's dt = h grids, rho is that of the potential-free matrix,
+3 - 2 sqrt(2) = 0.1716, and K = 42.  The bound is on size, not on bits: a
+steep front inside the overlap (|x_{c+K}| / |x_c| above 2^53, say) carries
+the cut's error into the last bit at c.  Measured on rn-wavepacket to
+T = 1000, the halves differed at 1 of 12500 steps at h = 0.08 and at 311 of
+6250 at h = 0.16 while every cut was at n // 2, at none of either since a
+window is cut at its middle, and at none on the preset grid (h = 0.04).  So
+the rows c-1 .. c+1, which both halves solve, must agree to the bit, or the
+step is taken again whole, from the pair it read (``retaken_steps``).  With
+that, a run's arrays and output bytes are the same on any number of CPUs;
+the tests check this on shortened black-hole and toy runs, a reference run
+and the h = 0.16 grid, one of them mixing split and whole steps.
+
+Neither window nor split.  A stepper takes every step whole, with no pairs,
+and its helper, if any, runs only calls: without ``second_cpu``; where
+n < _SPLIT_MIN_N, below which a split step measured no faster; where
+rho >= 1, K > n/4 or K > _SPLIT_MIN_N/2 - _CHUNK (1244), which keeps every
+overlap out of the first and last _CHUNK rows; or where zgttrf swapped a row
+in [_CHUNK - 2, n - _CHUNK), which a window's edge or a split's overlap could
+cut (on the presets it swaps only row n - 2, the transparent right end's).
 """
 
 from __future__ import annotations
@@ -149,6 +152,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,15 +375,7 @@ _MESSAGE_BYTES = 1 << 20
 
 def _overlap(lu: _TridiagLU) -> int | None:
     """The overlap K of a split, from ``lu``'s factors, or None where the
-    whole solve is kept, with no split and no window: K > n/4 or
-    K > _SPLIT_MIN_N/2 - _CHUNK, or a row swap in [_CHUNK - 2, n - _CHUNK),
-    where a window's edge or a split's overlap could cut it.
-
-    rho bounds the per-row decay of an error in the forward (|dl|) and back
-    (|du/d|) substitutions over the rows [_CHUNK, n - _CHUNK), which hold
-    every split's overlap: a window that splits has at least _SPLIT_MIN_N/2
-    rows on each side of its cut.
-    """
+    stepper windows and splits nothing (module docstring)."""
     (dl, d, du, _, ipiv), n = lu._fact, lu.n
     rho, top = 0.0, n - _CHUNK
     # 4096 rows at a time: temporaries of all n rows raised the peak RSS of
@@ -572,6 +568,33 @@ def _stop(pid: int, fds: tuple[int, ...], owner: int) -> None:
         os.waitpid(pid, 0)
 
 
+class _Band(NamedTuple):
+    """What :meth:`Stepper._advance` steps: the views and flags of the rows
+    [lo, hi) of the system, of which it keeps [k0, k1) (:meth:`Stepper._band`)."""
+
+    rdi: np.ndarray  # the right-hand side's diagonal on the rows
+    u_rows: np.ndarray  # u and v on the rows
+    v_rows: np.ndarray
+    w_rows: np.ndarray  # scratch for dt v
+    u_near: np.ndarray  # u on the rows and the neighbours they read
+    w_near: np.ndarray  # scratch for roff u_near
+    r: np.ndarray  # the rows' right-hand side, then their solution
+    r_below: np.ndarray  # the rows that read u[j-1], and roff u[j-1] for them
+    w_below: np.ndarray
+    r_above: np.ndarray  # the rows that read u[j+1], and roff u[j+1] for them
+    w_above: np.ndarray
+    first: bool  # whether the rows hold the grid's first row, and its last
+    last: bool
+    r_kept: np.ndarray  # the solution on the kept rows, and u and v there
+    u_kept: np.ndarray
+    v_kept: np.ndarray
+    w_kept: np.ndarray  # scratch for d u
+    a: np.ndarray  # the v update's coefficients on the kept rows
+    d: np.ndarray
+    vn: np.ndarray  # v's next values on the kept rows
+    un: np.ndarray | None  # the pair's u on the kept rows, or None where r is that u
+
+
 class Stepper:
     """Advances a :class:`FieldState` by dt on fixed potentials and boundary mode.
 
@@ -579,40 +602,14 @@ class Stepper:
     when the boundary is transparent and P is not identically zero.
 
     ``second_cpu=True`` gives the stepper a helper process for a second CPU,
-    forked at the first request the stepper sends it.  It runs the calls
-    handed to it by :meth:`call`.  Where the grid is large enough and the
-    factors allow it (module docstring), this stepper splits each step: it
-    chooses the overlap K, lays out the shared pairs and the right-hand side
-    of the helper's rows in the helper's shared memory, and sends the helper
-    the rows [c, hi) of each step while this process steps the rows [lo, c)
-    and checks the rows that both solved, spinning on its CPU between
-    steps (yielding it to any other runnable process); a step is taken unsplit
-    while a call runs.  Both halves solve with this stepper's one
-    factorization of the whole matrix, the helper's at an offset, so the
-    helper factors nothing.  :meth:`close` stops the helper.
-    ``driver.run`` sets ``second_cpu`` by its spare-CPU rule
-    (``driver._spare_cpu``).
-
-    Such a stepper steps on from its own states over a window of the rows
-    that the field occupies, every other row being +0 (module docstring):
-    split at the window's middle, where it has _SPLIT_MIN_N rows, else by
-    this process alone.  A windowed step is the whole step to the bit where
-    its output is +0 at the window's edges; one that is not, and a split
-    step whose halves differ, is taken again whole.
-    ``windowed_steps`` counts the steps whose result came from a window of
-    fewer than all rows, ``split_steps`` those whose result came from a
-    split solve, and ``retaken_steps`` those taken again; a lone stepper's
-    stay 0.
-
-    :meth:`step` never writes its input.  Without a helper that splits, it
-    returns fresh arrays.  With one, it returns one of two (u, v) pairs in
-    memory shared with the helper, which later steps overwrite: stepping on
-    from the returned state, the step after next.  Stepping on from such a
-    state reads it only inside the window, so a caller who writes one must
-    pass copies.  A state that is not one of the pairs (the first step's,
-    a caller's) is read as given and stepped whole, into a pair that it
-    does not overlap, or into fresh arrays if it overlaps both.  Copy what
-    you keep.
+    forked at the first request that the stepper sends it: a call
+    (:meth:`call`) or, where the grid allows it, half of a step.
+    :meth:`close` stops and reaps it.  ``driver.run`` sets ``second_cpu``
+    by its spare-CPU rule (``driver._spare_cpu``).  The results are the same
+    to the bit with or without the helper; :meth:`step` says what it returns.
+    The module docstring says how such a stepper windows and splits its
+    steps, and where it does neither.  ``windowed_steps``, ``split_steps``
+    and ``retaken_steps`` count what it did; a lone stepper's stay 0.
 
     Not reentrant: :meth:`step` works in scratch buffers owned by the instance,
     so one ``Stepper`` must not run two steps at once (use one per thread).
@@ -693,8 +690,7 @@ class Stepper:
         # Shared with the helper: the right system's values, at most n-m+K
         # of them (hi-c+K), the pairs, then the window (lo, hi) as two
         # 64-bit words.  The helper's step reaches this stepper through a
-        # weak reference: a closure over self would hold the two in a cycle,
-        # which only the garbage collector frees.
+        # weak reference, as _Helper requires.
         ref = weakref.ref(self)
 
         def right(p: int) -> None:  # the helper's half of a split step from pair p
@@ -714,12 +710,12 @@ class Stepper:
         # and the plans of the window they were last built for
         self._window, self._plans = (n, 0), (None, None)
 
-    def _band(self, lo: int, hi: int, keep: tuple[int, int], src, dst, r=None) -> tuple:
-        """What :meth:`_advance` works on to step the rows [lo, hi) of the
-        system from the pair ``src``: ``r`` takes their right-hand side and
-        solution, whose rows ``keep`` = (k0, k1) go to the pair ``dst`` as
-        u's next values, with v's beside them.  Without ``r``, dst's u takes
-        them itself, and ``keep`` is (lo, hi)."""
+    def _band(self, lo: int, hi: int, keep: tuple[int, int], src, dst, r=None) -> _Band:
+        """The band that steps the rows [lo, hi) of the system from the pair
+        ``src``: ``r`` takes their right-hand side and solution, whose rows
+        ``keep`` = (k0, k1) go to the pair ``dst`` as u's next values, with
+        v's beside them.  Without ``r``, dst's u takes them itself, and
+        ``keep`` is (lo, hi)."""
         n, w = self.grid.n, self._work
         (u, v), (un, vn), (k0, k1) = src, dst, keep
         un = un[k0:k1]
@@ -728,24 +724,29 @@ class Stepper:
         s0, s1 = max(lo - 1, 0), min(hi + 1, n)  # the values of u the rows read
         b0, a1 = max(lo, 1), min(hi, n - 1)  # the rows from which u[j-1], up to which u[j+1], is read
         near = w[: s1 - s0]
-        return (self._rdi[lo:hi], u[lo:hi], v[lo:hi], w[: hi - lo], u[s0:s1], near,
-                r, r[b0 - lo :], near[b0 - 1 - s0 : hi - 1 - s0], r[: a1 - lo],
-                near[lo + 1 - s0 : a1 + 1 - s0], lo == 0, hi == n,
-                r[k0 - lo : k1 - lo], u[k0:k1], v[k0:k1], w[: k1 - k0],
-                self._a[k0:k1], self._d[k0:k1], vn[k0:k1], un)
+        return _Band(
+            rdi=self._rdi[lo:hi], u_rows=u[lo:hi], v_rows=v[lo:hi], w_rows=w[: hi - lo],
+            u_near=u[s0:s1], w_near=near, r=r, r_below=r[b0 - lo :],
+            w_below=near[b0 - 1 - s0 : hi - 1 - s0], r_above=r[: a1 - lo],
+            w_above=near[lo + 1 - s0 : a1 + 1 - s0], first=lo == 0, last=hi == n,
+            r_kept=r[k0 - lo : k1 - lo], u_kept=u[k0:k1], v_kept=v[k0:k1], w_kept=w[: k1 - k0],
+            a=self._a[k0:k1], d=self._d[k0:k1], vn=vn[k0:k1], un=un)
 
-    def _whole_band(self, u, v, un, vn) -> tuple:
-        """:meth:`_band` of all the rows, from (u, v) to (un, vn), with the
-        right-hand side solved in ``un`` itself; built for every whole step,
-        without slicing u or v."""
+    def _whole_band(self, u, v, un, vn) -> _Band:
+        """:meth:`_band` of all the rows, from (u, v) to (un, vn), solved in
+        ``un`` itself: the same views, built for every whole step without
+        slicing, 1.4 µs against 5.2 µs of a 50 µs toy step (n = 1501)."""
         w, (below, above) = self._work, self._shifts
-        return (self._rdi, u, v, w, u, w, un, un[1:], below, un[:-1], above, True, True,
-                un, u, v, w, self._a, self._d, vn, None)
+        return _Band(
+            rdi=self._rdi, u_rows=u, v_rows=v, w_rows=w, u_near=u, w_near=w, r=un,
+            r_below=un[1:], w_below=below, r_above=un[:-1], w_above=above, first=True,
+            last=True, r_kept=un, u_kept=u, v_kept=v, w_kept=w, a=self._a, d=self._d,
+            vn=vn, un=None)
 
-    def _advance(self, band: tuple, solve) -> None:
-        """The step's kernel over the rows of ``band`` (:meth:`_band`): their
-        right-hand side, its solve in place by ``solve``, and the kept rows
-        of v's next values and, where the band has a pair's u of its own, u's."""
+    def _advance(self, band: _Band, solve) -> None:
+        """The step's kernel over the rows of ``band``: their right-hand side,
+        its solve in place by ``solve``, and the kept rows of v's next values
+        and, where the band has a u of its own, u's."""
         (rdi, u_rows, v_rows, w_rows, u_near, w_near, r, r_below, w_below, r_above, w_above,
          first, last, r_kept, u_kept, v_kept, w_kept, a, d, vn, un) = band
         dt, h = self.grid.dt, self.grid.h
@@ -799,26 +800,32 @@ class Stepper:
         return self._split
 
     def step(self, state: FieldState) -> FieldState:
+        """``state`` advanced by dt; ``state`` itself is never written.  The
+        result is fresh arrays, or, where the stepper windows (module
+        docstring), one of two (u, v) pairs shared with the helper, which the
+        step after next overwrites: copy what you keep.  A step from such a
+        pair reads it only inside the window, so a caller who writes into a
+        returned state steps on from copies; any other state is read as given."""
         u, v, t, pairs = state.u, state.v, state.t + self.grid.dt, self._pairs
-        q = None  # the pair this step writes
-        if pairs is not None:
-            if u is pairs[0][0] and v is pairs[0][1]:
-                q = 1
-            elif u is pairs[1][0] and v is pairs[1][1]:
-                q = 0
-            if q is not None:
-                self._pair_step(1 - q)
-                return FieldState(u=pairs[q][0], v=pairs[q][1], t=t)
-            # not a pair: stepped into one that it does not overlap
-            q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
-        if q is None:
-            un, vn = np.empty(self.grid.n, dtype=complex), np.empty(self.grid.n, dtype=complex)
-        else:
-            un, vn = pairs[q]
+        if pairs is None:
+            return FieldState(*self._whole_step(u, v, None), t=t)
+        for p in (0, 1):
+            if u is pairs[p][0] and v is pairs[p][1]:
+                self._pair_step(p)
+                return FieldState(*pairs[1 - p], t=t)
+        # not a pair: stepped into one that it does not overlap, if any
+        q = next((q for q in (0, 1) if not _overlaps(state, pairs[q])), None)
+        return FieldState(*self._whole_step(u, v, q), t=t)
+
+    def _whole_step(self, u, v, q: int | None) -> tuple:
+        """Step (u, v) over all rows into pair q, and widen the window over
+        its output, or into fresh arrays where q is None; the new (u, v)."""
+        n = self.grid.n
+        un, vn = self._pairs[q] if q is not None else (np.empty(n, complex), np.empty(n, complex))
         self._advance(self._whole_band(u, v, un, vn), self._lu.solve)
         if q is not None:
             self._cover(q)
-        return FieldState(u=un, v=vn, t=t)
+        return un, vn
 
     def _pair_step(self, p: int) -> None:
         """Step pair p into pair 1 - p over the window (module docstring):
@@ -833,31 +840,22 @@ class Stepper:
         if halves:
             self._advance(*left)
             self._helper.join()
-            stood = seam[0].tobytes() == seam[1].tobytes()
         else:
             self._advance(*alone)
-            stood = True
-        stood = stood and self._edges(q)
+        stood = (not halves or seam[0].tobytes() == seam[1].tobytes()) and self._edges(q)
         self._windowed += stood and hi - lo < self.grid.n
         self._split += halves and stood
         if not stood:
             self._retaken += 1
-            self._advance(self._whole_band(*self._pairs[p], *self._pairs[q]), self._lu.solve)
-            self._cover(q)
+            self._whole_step(*self._pairs[p], q)
 
     def _plan(self, p: int, window: tuple[int, int]) -> tuple:
-        """How a step from pair p solves the rows [lo, hi) of ``window``:
-        (left, right, seam, alone), left, right and alone :meth:`_advance`'s
-        arguments, left and right None where it may not split.  Alone, this
-        process solves every row in place in pair 1 - p's u, with the whole
-        matrix's factors at offset lo.  Split at c = (lo + hi) // 2, this
-        process solves the rows [lo, c+K) (left), with the factors at offset
-        lo, and the helper the rows [c-K, hi) (right), at offset c-K, which
-        they may where the window has _SPLIT_MIN_N rows: then it has more
-        than K (at most _SPLIT_MIN_N/2 - _CHUNK, :func:`_overlap`) on each
-        side of c.  seam holds the rows c-1 .. c+1 of both halves.  Built
-        for both pairs at once, in whichever process asks, and kept for one
-        window."""
+        """The plan of a step from pair p over the rows [lo, hi) of
+        ``window``: (left, right, seam, alone).  left and right are
+        :meth:`_advance`'s arguments for the halves of a split at
+        c = (lo + hi) // 2, or None where the window may not split, seam the
+        rows c-1 .. c+1 of both halves, alone the arguments that step the
+        whole window in this process.  Kept for the last window asked for."""
         if self._plans[0] != window:
             (lo, hi), k, pairs = window, self._k, self._pairs
             c, fact = (lo + hi) // 2, _offset(self._lu._fact, lo)

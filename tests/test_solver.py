@@ -361,6 +361,35 @@ class TestKernel:
             for b in scratch:
                 assert not np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("case", ["rn-transparent-split", "dirichlet-uniform", "helper"])
+    def test_whole_band_is_the_band_of_all_rows(self, case):
+        """The whole step's band, built without slicing, holds the views that
+        the general builder gives for all rows: for a lone stepper from a
+        state into fresh arrays, and for a helper stepper in its plan of the
+        all-rows window, which it steps alone, from pair 0 into pair 1."""
+        if case == "helper":
+            stepper, _ = _split_stepper()
+            n, (src, dst) = stepper.grid.n, stepper._pairs
+            band = stepper._plan(0, (0, n))[3][0]
+        else:
+            g, pp, bc, _ = _kernel_case(case)
+            stepper, n, state = Stepper(g, pp, bc), g.n, _random_state(g.n, seed=11)
+            src, dst = (state.u, state.v), (np.empty(n, complex), np.empty(n, complex))
+            band = stepper._band(0, n, (0, n), src, dst)
+        try:
+            whole = stepper._whole_band(*src, *dst)
+            assert type(band) is type(whole) is solver._Band
+            for name, ours, theirs in zip(solver._Band._fields, whole, band):
+                if isinstance(theirs, np.ndarray):
+                    assert isinstance(ours, np.ndarray), name
+                    assert ((ours.__array_interface__["data"][0], ours.shape, ours.strides)
+                            == (theirs.__array_interface__["data"][0], theirs.shape,
+                                theirs.strides)), name
+            assert (whole.first, whole.last, whole.un) == (band.first, band.last, band.un)
+            assert (band.first, band.last, band.un) == (True, True, None)
+        finally:
+            stepper.close()
+
 
 class TestLapackBinding:
     """numpy's bundled OpenBLAS through ctypes, and scipy's wrappers as fallback."""

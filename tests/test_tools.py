@@ -17,12 +17,17 @@ def src_loc(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_src_loc_counts_every_module():
+    """One row per module, code-only lines and then every line (``wc -l``),
+    and a last row with the sums of both columns."""
     proc = src_loc()
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()
-    modules = sorted(p.name for p in (ROOT / "src" / "ergosim").glob("*.py"))
-    assert [row.split()[1] for row in rows] == modules + ["total"]
-    assert sum(int(row.split()[0]) for row in rows[:-1]) == int(rows[-1].split()[0])
+    rows = [row.split() for row in proc.stdout.splitlines()]
+    paths = sorted((ROOT / "src" / "ergosim").glob("*.py"))
+    assert [row[2] for row in rows] == [p.name for p in paths] + ["total"]
+    for (code, lines, _), path in zip(rows, paths):
+        assert 0 < int(code) < int(lines) == len(path.read_text(encoding="utf-8").splitlines())
+    for column in (0, 1):
+        assert sum(int(row[column]) for row in rows[:-1]) == int(rows[-1][column])
 
 
 def test_src_loc_refuses_a_directory_without_modules(tmp_path):

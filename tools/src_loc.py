@@ -1,11 +1,12 @@
-"""Code-only line counts of the ``src/ergosim`` modules.
+"""Code-only and total line counts of the ``src/ergosim`` modules.
 
     python3 tools/src_loc.py [SRC_DIR]
 
-Prints one ``<lines>  <module>`` row per module and then the total; exits 2
-when SRC_DIR holds no ``*.py`` module (a wrong path, say).  A line
-counts when it is not blank, not a comment-only line and not part of a
-docstring (the string that opens a module, class or function body).
+Prints one ``<code-only lines>  <total lines>  <module>`` row per module and
+then the totals; exits 2 when SRC_DIR holds no ``*.py`` module (a wrong
+path, say).  A line is code-only when it is not blank, not a comment-only
+line and not part of a docstring (the string that opens a module, class or
+function body); the total counts every line, as ``wc -l`` does.
 """
 
 from __future__ import annotations
@@ -51,12 +52,13 @@ def main(argv: list[str]) -> int:
     if not modules:
         print(f"src_loc: no *.py modules in {src}", file=sys.stderr)
         return 2
-    total = 0
+    code_sum = line_sum = 0
     for path in modules:
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:5d}  {path.name}")
-    print(f"{total:5d}  total")
+        text = path.read_text(encoding="utf-8")
+        code, lines = code_lines(text), len(text.splitlines())
+        code_sum, line_sum = code_sum + code, line_sum + lines
+        print(f"{code:5d}  {lines:5d}  {path.name}")
+    print(f"{code_sum:5d}  {line_sum:5d}  total")
     return 0
 
 
